@@ -8,8 +8,6 @@ minutes, `paper` runs the full-scale study (fine grid 256, coarse sizes
 
 from dataclasses import dataclass, fields, replace
 
-from .coefficient import CoeffDescriptor
-
 RHS_NAMES = ("x", "one", "manufactured", "zero")
 MODES = ("global", "localized", "petrov")
 TIMING_MODES = ("wall", "off")
@@ -40,17 +38,6 @@ class ExperimentConfig:
     decay_node: str = "center"
     out: str = ""
     solution_out: str = ""
-
-    def coeff_descriptor(self):
-        if self.coeff_kind == "constant":
-            return CoeffDescriptor(kind="constant", constant=self.coeff_constant)
-        if self.coeff_kind == "periodic":
-            return CoeffDescriptor(kind="periodic", epsilon=self.coeff_epsilon,
-                                   amplitude=self.coeff_amplitude)
-        if self.coeff_kind == "checkerboard":
-            return CoeffDescriptor(kind="checkerboard", cell=self.coeff_cell,
-                                   contrast=self.coeff_contrast, seed=self.seed)
-        raise ConfigError(f"unknown coefficient kind: {self.coeff_kind!r}")
 
     def validate(self):
         if self.fine_n < 2:

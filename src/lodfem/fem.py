@@ -97,22 +97,25 @@ def assemble_load(mesh, f, interior=True):
 
 
 def apply_subset_stiffness(mesh, coeff, elements, vec_full):
-    """Apply the stiffness assembled over `elements` only to a full-dof vector.
+    """Apply the stiffness assembled over `elements` only to full-dof vectors.
 
     Realizes the element-restricted bilinear form a_K(., .) without building
-    the subset matrix.
+    the subset matrix.  `vec_full` is one vector (nv,) or a block (nv, k);
+    each column of a block gives the same bits as its single-vector call.
     """
     values = _coeff_values(mesh, coeff)[elements]
     gx, gy = mesh.element_gradients
-    gx, gy = gx[elements], gy[elements]
+    gx, gy = gx[elements][:, :, None], gy[elements][:, :, None]
     tri = mesh.triangles[elements]
-    vloc = vec_full[tri]
-    qx = values * mesh.element_areas[elements] * (gx * vloc).sum(axis=1)
-    qy = values * mesh.element_areas[elements] * (gy * vloc).sum(axis=1)
+    block = vec_full.reshape(mesh.n_vertices, -1)
+    vloc = block[tri]
+    weight = (values * mesh.element_areas[elements])[:, None]
+    qx = weight * (gx * vloc).sum(axis=1)
+    qy = weight * (gy * vloc).sum(axis=1)
     contrib = gx * qx[:, None] + gy * qy[:, None]
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, tri.ravel(), contrib.ravel())
-    return out
+    out = np.zeros(block.shape)
+    np.add.at(out, tri.ravel(), contrib.reshape(-1, block.shape[1]))
+    return out.reshape(vec_full.shape)
 
 
 def subset_l2_sq(mesh, elements, vec_full):

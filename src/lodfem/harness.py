@@ -37,14 +37,21 @@ def rhs_function(name):
 
 
 def build_coefficient(cfg, fine):
+    """The config's coefficient field; parameters a generator rejects are a
+    ConfigError."""
     kind = cfg.coeff_kind
-    if kind == "constant":
-        return coefficient.make_constant(cfg.coeff_constant, fine)
-    if kind == "periodic":
-        return coefficient.make_periodic(cfg.coeff_epsilon, cfg.coeff_amplitude, fine)
-    if kind == "checkerboard":
-        return coefficient.make_checkerboard(cfg.coeff_cell, cfg.coeff_contrast,
-                                             cfg.seed, fine)
+    try:
+        if kind == "constant":
+            return coefficient.make_constant(cfg.coeff_constant, fine)
+        if kind == "periodic":
+            return coefficient.make_periodic(cfg.coeff_epsilon,
+                                             cfg.coeff_amplitude, fine)
+        if kind == "checkerboard":
+            return coefficient.make_checkerboard(cfg.coeff_cell,
+                                                 cfg.coeff_contrast, cfg.seed,
+                                                 fine)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown coefficient kind: {kind!r}")
 
 
@@ -132,15 +139,17 @@ def _sweep(cfg, coarse_list, level_list):
         zero_correctors = lod.CorrectorSet(
             mode="localized", order=0, nodes=hier.coarse.interior_vertices,
             matrix=sparse.csr_matrix((hier.coarse.n_interior, fine.n_interior)))
+        global_correctors = None  # shared by all patch orders, timed in the first
         for level in [0] + sorted(level_list):
             with _Clock(timing) as clock:
                 try:
                     if level == 0:
                         correctors, count = zero_correctors, 0
                     elif cfg.mode == "global":
-                        correctors = lod.assemble_corrector_set(
-                            hier, ops, interp, mode="global", tol=cfg.tol,
-                            threads=cfg.threads)
+                        if global_correctors is None:
+                            global_correctors = lod.assemble_corrector_set(
+                                hier, ops, interp, mode="global", tol=cfg.tol)
+                        correctors = global_correctors
                         count = hier.coarse.n_interior
                     else:
                         correctors = lod.assemble_corrector_set(
@@ -198,7 +207,7 @@ def _decay_node(cfg, coarse):
         dist[coarse.boundary_flags] = np.inf
         return int(np.argmin(dist))
     node = int(cfg.decay_node)
-    if coarse.interior_index[node] < 0:
+    if node >= coarse.n_vertices or coarse.interior_index[node] < 0:
         raise ConfigError(f"decay_node {node} is not an interior coarse vertex")
     return node
 

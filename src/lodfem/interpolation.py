@@ -76,15 +76,6 @@ def build_interpolation(hierarchy):
     )
 
 
-def apply(op, v):
-    """Coarse interior nodal values of a fine interior dof vector."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.matrix.shape[1],):
-        raise ValueError(f"shape mismatch: operator expects {op.matrix.shape[1]} "
-                         f"fine dofs, got {v.shape}")
-    return op.matrix @ v
-
-
 def _smooth_samples(hierarchy, rng, count):
     """Random low-frequency combinations, zero on the boundary."""
     pts = hierarchy.fine.vertices

@@ -14,8 +14,6 @@ functions of their inputs, so repeated or concurrent calls on shared
 immutable matrices are deterministic.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
@@ -32,24 +30,6 @@ class SolverFailure(RuntimeError):
         self.residual = residual
 
 
-def _check_square(A, b):
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix not square: {A.shape}")
-    if b.shape != (A.shape[0],):
-        raise ValueError(f"shape mismatch: matrix {A.shape}, vector {b.shape}")
-
-
-def check_symmetry(A, rel_tol=1e-12):
-    """Require max|A - A'| <= rel_tol * max|A|."""
-    if A.nnz == 0:
-        return
-    diff = (A - A.T).tocsr()
-    skew = np.abs(diff.data).max() if diff.nnz else 0.0
-    scale = np.abs(A.data).max()
-    if skew > rel_tol * scale:
-        raise ValueError(f"matrix not symmetric: skew {skew:.3e} vs scale {scale:.3e}")
-
-
 def spd_solve(A, b, tol=1e-10):
     """Solve Ax = b for symmetric positive definite A to a relative residual.
 
@@ -57,7 +37,8 @@ def spd_solve(A, b, tol=1e-10):
     fixed inputs.  Raises SolverFailure if the residual target is missed.
     """
     b = np.asarray(b, dtype=float)
-    _check_square(A, b)
+    if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
+        raise ValueError(f"shape mismatch: matrix {A.shape}, vector {b.shape}")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     norm_b = np.linalg.norm(b)
@@ -79,23 +60,6 @@ def spd_solve(A, b, tol=1e-10):
             f"spd solve missed tolerance: residual {resid:.3e} > {tol:.1e} * {norm_b:.3e}",
             residual=float(resid))
     return x
-
-
-@dataclass(eq=False)
-class SaddleSystem:
-    """Algebraic corrector problem: Ax + C'mu = b with Cx = 0."""
-
-    A: sparse.csr_matrix
-    C: sparse.csr_matrix
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        _check_square(self.A, self.b)
-        if self.C.shape[1] != self.A.shape[0]:
-            raise ValueError(
-                f"constraint width {self.C.shape[1]} != system size {self.A.shape[0]}")
-        check_symmetry(self.A)
 
 
 class SaddleFactorization:
@@ -131,63 +95,42 @@ class SaddleFactorization:
         self._dense = self._kkt.toarray()
 
     def solve(self, b, tol=1e-10):
+        """Solve for one right-hand side (n,) or a block of them (n, k).
+
+        Each column is refined until it meets the tolerance, at most
+        _REFINE_STEPS times, and checked on its own; any failing column
+        raises SolverFailure.  x and mu come back with b's number of columns.
+        """
         b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(f"shape mismatch: system size {self.n}, rhs {b.shape}")
-        rhs = np.concatenate([b, np.zeros(self.m)])
+        B = b.reshape(self.n, -1)
+        rhs = np.concatenate([B, np.zeros((self.m, B.shape[1]))])
         if self._dense is None:
             z = self._lu.solve(rhs)
+            target = tol * np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
             for _ in range(_REFINE_STEPS):
                 r = rhs - self._kkt @ z
-                if np.linalg.norm(r) <= tol * max(np.linalg.norm(rhs), 1e-300):
+                open_cols = np.linalg.norm(r, axis=0) > target
+                if not open_cols.any():
                     break
-                z = z + self._lu.solve(r)
+                z[:, open_cols] += self._lu.solve(r[:, open_cols])
             if not np.all(np.isfinite(z)):
                 self._use_dense()
         if self._dense is not None:
             z, *_ = np.linalg.lstsq(self._dense, rhs, rcond=None)
         x, mu = z[:self.n], z[self.n:]
 
-        norm_b = np.linalg.norm(b)
-        stat = np.linalg.norm(self.A @ x + (self.C.T @ mu if self.m else 0.0) - b)
-        feas = np.linalg.norm(self.C @ x) if self.m else 0.0
-        if not np.isfinite(stat) or stat > tol * norm_b or \
-                feas > tol * max(1.0, np.linalg.norm(x)):
+        stat = np.linalg.norm(self.A @ x + self.C.T @ mu - B, axis=0)
+        feas = np.linalg.norm(self.C @ x, axis=0)
+        failed = np.flatnonzero(
+            ~np.isfinite(stat) | (stat > tol * np.linalg.norm(B, axis=0))
+            | (feas > tol * np.maximum(1.0, np.linalg.norm(x, axis=0))))
+        if failed.size:
+            j = failed[0]
             raise SolverFailure(
-                f"saddle solve missed tolerance: stationarity {stat:.3e}, "
-                f"feasibility {feas:.3e}", residual=float(max(stat, feas)))
+                f"saddle solve missed tolerance: stationarity {stat[j]:.3e}, "
+                f"feasibility {feas[j]:.3e}", residual=float(max(stat[j], feas[j])))
+        if b.ndim == 1:
+            return x[:, 0], mu[:, 0]
         return x, mu
-
-
-def saddle_solve(system, tol=1e-10):
-    """Solve a SaddleSystem; with no constraints this reduces to spd_solve."""
-    if system.C.shape[0] == 0:
-        return spd_solve(system.A, system.b, tol), np.zeros(0)
-    return SaddleFactorization(system.A, system.C).solve(system.b, tol)
-
-
-def matvec(A, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.shape[1],):
-        raise ValueError(f"shape mismatch: matrix {A.shape}, vector {x.shape}")
-    return A @ x
-
-
-def transpose_matvec(A, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.shape[0],):
-        raise ValueError(f"shape mismatch: matrix {A.shape}, vector {x.shape}")
-    return A.T @ x
-
-
-def extract_submatrix(A, rows, cols):
-    """CSR submatrix A[rows, cols] with strict bounds checking."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if rows.size and (rows.min() < 0 or rows.max() >= A.shape[0]):
-        raise IndexError(f"row indices out of bounds for {A.shape}")
-    if cols.size and (cols.min() < 0 or cols.max() >= A.shape[1]):
-        raise IndexError(f"column indices out of bounds for {A.shape}")
-    sub = A.tocsr()[rows][:, cols].tocsr()
-    sub.sort_indices()
-    return sub

@@ -9,13 +9,18 @@ corrector exactly.  Subtracting correctors from the prolonged hats yields
 the multiscale basis whose Galerkin (or Petrov-Galerkin) solve is the
 method's output.
 
-Corrector problems for distinct patches are independent; the batch solver
-may run them on a thread pool and always merges results in sorted element
-order, so outputs are bit-identical at any thread count.
+Every corrector comes from one patch solve: the patch's KKT system is
+factorized once and all of its right-hand sides are solved as one block.
+Localized mode solves one patch per coarse element, a column per interior
+vertex of the element; global mode solves the whole domain as one patch, a
+column per interior node.  The (coarse dof, patch dofs, values) triplets are
+summed in ascending element order into the corrector matrix, built once, so
+outputs are bit-identical at any thread count of the localized solves.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sparse
@@ -47,95 +52,86 @@ class MultiscaleSpace:
     load_pg: np.ndarray          # (f, hat_a)
 
 
-def _interior_node_ids(coarse):
-    return coarse.interior_vertices
+def _solve_patch(ops, interp, dofs, rows, rhs, tol, where):
+    """Corrector block on the fine interior `dofs` of one patch.
+
+    Each column x of the result minimizes a(x, x)/2 - (rhs, x) over the
+    patch, subject to the quasi-interpolation rows `rows` vanishing on x.
+    One KKT factorization serves all columns of `rhs` (len(dofs), k).
+    """
+    A = ops.stiffness_coeff[dofs][:, dofs]
+    C = interp.matrix[rows][:, dofs]
+    C = C[np.flatnonzero(np.diff(C.indptr))]  # all-zero rows constrain nothing
+    try:
+        x, _ = SaddleFactorization(A, C).solve(rhs, tol)
+    except SolverFailure as exc:
+        raise SolverFailure(f"{where}: {exc}", residual=exc.residual) from exc
+    return x
 
 
-def solve_global_corrector(node, hierarchy, ops, interp, tol=1e-10,
-                           _factorization=None):
+def _global_correctors(hierarchy, ops, interp, nodes, tol, where):
+    """Whole-domain correctors of the coarse interior dofs `nodes` (columns)."""
+    rhs = (ops.stiffness_coeff @ hierarchy.prolongation_interior[:, nodes]).toarray()
+    return _solve_patch(ops, interp, np.arange(hierarchy.fine.n_interior),
+                        np.arange(hierarchy.coarse.n_interior), rhs, tol, where)
+
+
+def _element_correctors(hierarchy, ops, interp, element, order, tol):
+    """Contributions seeded at one coarse element, as (nodes, dofs, x).
+
+    x holds one column per coarse interior dof in `nodes` (the element's, in
+    ascending order) on the fine interior `dofs` of the element's patch; its
+    right-hand side is the hat's stiffness on the element's children only.
+    """
+    coarse, fine = hierarchy.coarse, hierarchy.fine
+    nodes = np.sort(coarse.interior_index[coarse.triangles[element]])
+    nodes = nodes[nodes >= 0]
+    patch = element_patch(hierarchy, element, order)
+    dofs = patch.fine_interior_dofs
+    hats = hierarchy.prolongation[:, nodes].toarray()
+    b = fem.apply_subset_stiffness(fine, ops.coeff, hierarchy.children[element], hats)
+    x = _solve_patch(ops, interp, dofs,
+                     coarse.interior_index[patch.active_coarse_nodes],
+                     b[fine.interior_vertices[dofs]], tol,
+                     f"corrector patch of element {element}")
+    return nodes, dofs, x
+
+
+def _merge(blocks, shape):
+    """CSR matrix from (rows, cols, values) blocks, values[:, j] in row rows[j].
+
+    Entries that meet at one position are summed from zero in block order,
+    so the result does not depend on how the blocks were computed.
+    """
+    pieces = [[] for _ in range(shape[0])]
+    for rows, cols, values in blocks:
+        for j, row in enumerate(rows):
+            pieces[row].append((cols, values[:, j]))
+    indices, data = [], []
+    for row_pieces in pieces:
+        cols, inverse = np.unique(np.concatenate([c for c, _ in row_pieces]),
+                                  return_inverse=True)
+        indices.append(cols)
+        data.append(np.bincount(inverse, weights=np.concatenate(
+            [v for _, v in row_pieces])))
+    indptr = np.cumsum([0] + [cols.size for cols in indices])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=shape)
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def solve_global_corrector(node, hierarchy, ops, interp, tol=1e-10):
     """Corrector of one coarse interior node on the whole domain.
 
     Solves  a(phi, w) = a(hat_node, w)  for all w in the interpolation
     kernel, as a saddle system on the fine interior dofs.
     """
-    coarse = hierarchy.coarse
-    dof = coarse.interior_index[node]
+    dof = hierarchy.coarse.interior_index[node]
     if dof < 0:
         raise IndexError(f"coarse vertex {node} is not an interior node")
-    fac = _factorization or SaddleFactorization(ops.stiffness_coeff, interp.matrix)
-    p = hierarchy.prolongation_interior[:, dof].toarray().ravel()
-    b = ops.stiffness_coeff @ p
-    try:
-        phi, _ = fac.solve(b, tol)
-    except SolverFailure as exc:
-        raise SolverFailure(f"global corrector at node {node}: {exc}",
-                            residual=exc.residual) from exc
-    return phi
-
-
-class _PatchProblem:
-    """Shared patch matrices for all nodes of one seed element."""
-
-    def __init__(self, hierarchy, ops, interp, element, order):
-        self.patch = element_patch(hierarchy, element, order)
-        dofs = self.patch.fine_interior_dofs
-        A = ops.stiffness_coeff[dofs][:, dofs].tocsr()
-        rows = hierarchy.coarse.interior_index[self.patch.active_coarse_nodes]
-        C = interp.matrix[rows][:, dofs].tocsr()
-        keep = np.flatnonzero(np.diff(C.indptr))  # all-zero rows constrain nothing
-        self.factorization = SaddleFactorization(A, C[keep])
-        self.dofs = dofs
-
-    def solve(self, b_full_interior, tol):
-        x, _ = self.factorization.solve(b_full_interior[self.dofs], tol)
-        return x
-
-
-def solve_local_corrector(node, element, order, hierarchy, ops, interp,
-                          tol=1e-10, _problem=None):
-    """Single-element corrector contribution on the patch of `element`.
-
-    The right-hand side pairs the hat of `node` with test functions through
-    the stiffness of `element`'s fine children only; the returned fine
-    interior vector is zero outside the patch.
-    """
-    coarse = hierarchy.coarse
-    dof = coarse.interior_index[node]
-    if dof < 0:
-        raise IndexError(f"coarse vertex {node} is not an interior node")
-    if node not in coarse.triangles[element]:
-        raise ValueError(f"coarse vertex {node} is not a vertex of element {element}")
-    prob = _problem or _PatchProblem(hierarchy, ops, interp, element, order)
-
-    p_full = np.zeros(hierarchy.fine.n_vertices)
-    p_full[hierarchy.fine.interior_vertices] = \
-        hierarchy.prolongation_interior[:, dof].toarray().ravel()
-    b_full = fem.apply_subset_stiffness(
-        hierarchy.fine, ops.coeff, hierarchy.children[element], p_full)
-    b_int = b_full[hierarchy.fine.interior_vertices]
-    try:
-        x = prob.solve(b_int, tol)
-    except SolverFailure as exc:
-        raise SolverFailure(
-            f"local corrector at node {node}, element {element}: {exc}",
-            residual=exc.residual) from exc
-    out = np.zeros(hierarchy.fine.n_interior)
-    out[prob.dofs] = x
-    return out
-
-
-def _solve_patch_batch(hierarchy, ops, interp, element, order, tol):
-    """All corrector contributions seeded at one coarse element."""
-    prob = _PatchProblem(hierarchy, ops, interp, element, order)
-    coarse = hierarchy.coarse
-    nodes = np.sort(coarse.triangles[element])
-    results = {}
-    for node in nodes:
-        if coarse.interior_index[node] < 0:
-            continue
-        results[int(node)] = solve_local_corrector(
-            node, element, order, hierarchy, ops, interp, tol, _problem=prob)
-    return element, results
+    return _global_correctors(hierarchy, ops, interp, [dof], tol,
+                              f"global corrector at node {node}")[:, 0]
 
 
 def assemble_corrector_set(hierarchy, ops, interp, mode="localized", order=2,
@@ -143,50 +139,31 @@ def assemble_corrector_set(hierarchy, ops, interp, mode="localized", order=2,
     """Correctors for every coarse interior node.
 
     Localized mode sums per-element patch solves (at most the node's star
-    size per node, in ascending element order); global mode reuses one KKT
-    factorization for all nodes.
+    size per node, in ascending element order); global mode solves the whole
+    domain once for all nodes.
     """
     coarse = hierarchy.coarse
-    nodes = _interior_node_ids(coarse)
-    n_fi = hierarchy.fine.n_interior
-
+    shape = (coarse.n_interior, hierarchy.fine.n_interior)
     if mode == "global":
-        fac = SaddleFactorization(ops.stiffness_coeff, interp.matrix)
-        rows = [solve_global_corrector(node, hierarchy, ops, interp, tol,
-                                       _factorization=fac)
-                for node in nodes]
-        matrix = sparse.csr_matrix(np.vstack(rows)) if rows else \
-            sparse.csr_matrix((0, n_fi))
-        return CorrectorSet(mode="global", order=None, nodes=nodes, matrix=matrix)
-
-    if mode != "localized":
-        raise ValueError(f"unknown corrector mode: {mode!r}")
-
-    elements = range(coarse.n_triangles)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(
-                lambda k: _solve_patch_batch(hierarchy, ops, interp, k, order, tol),
-                elements))
+        nodes = np.arange(shape[0])
+        blocks = [(nodes, np.arange(shape[1]), _global_correctors(
+            hierarchy, ops, interp, nodes, tol, "global correctors"))]
+    elif mode == "localized":
+        # elements with only boundary vertices seed no corrector
+        seeds = np.flatnonzero(
+            (coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
+        solve = partial(_element_correctors, hierarchy, ops, interp,
+                        order=order, tol=tol)
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                blocks = list(pool.map(solve, seeds))
+        else:
+            blocks = list(map(solve, seeds))
     else:
-        batches = [_solve_patch_batch(hierarchy, ops, interp, k, order, tol)
-                   for k in elements]
-
-    contributions = {int(node): [] for node in nodes}
-    for element, results in sorted(batches, key=lambda item: item[0]):
-        for node, vec in results.items():
-            contributions[node].append(vec)
-    rows = []
-    for node in nodes:
-        total = np.zeros(n_fi)
-        for vec in contributions[int(node)]:
-            total += vec
-        rows.append(total)
-    matrix = sparse.csr_matrix(np.vstack(rows)) if rows else \
-        sparse.csr_matrix((0, n_fi))
-    matrix.eliminate_zeros()
-    return CorrectorSet(mode="localized", order=int(order), nodes=nodes,
-                        matrix=matrix)
+        raise ValueError(f"unknown corrector mode: {mode!r}")
+    return CorrectorSet(mode=mode, order=None if mode == "global" else int(order),
+                        nodes=coarse.interior_vertices,
+                        matrix=_merge(blocks, shape))
 
 
 def build_multiscale_space(hierarchy, ops, correctors):

@@ -286,15 +286,3 @@ def element_patch(hierarchy, element, order):
         fine_interior_dofs=fine_interior_dofs,
         active_coarse_nodes=active,
     )
-
-
-def export_text(mesh, path):
-    """Debug export: one `x y boundary_flag` line per vertex, then one
-    `v0 v1 v2` line per triangle."""
-    lines = []
-    for (x, y), b in zip(mesh.vertices, mesh.boundary_flags):
-        lines.append(f"{float(x)!r} {float(y)!r} {int(b)}")
-    for t in mesh.triangles:
-        lines.append(f"{t[0]} {t[1]} {t[2]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

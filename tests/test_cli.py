@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lodfem import ConfigError, ExperimentConfig, parse_config, serialize_config
+from lodfem import ConfigError, ExperimentConfig, lod, parse_config, \
+    serialize_config
 from lodfem.cli import main
 from lodfem.config import DESK_PRESET, PAPER_PRESET
 from lodfem.harness import CSV_HEADER, run_coeff_export, run_convergence, \
@@ -133,6 +134,23 @@ def test_global_and_petrov_modes():
     assert max(errs) <= 5.0 * min(errs)
 
 
+def test_global_correctors_assembled_once_per_coarse_size(monkeypatch):
+    calls = []
+    assemble = lod.assemble_corrector_set
+
+    def counting(hier, *args, **kwargs):
+        calls.append(hier.coarse.cells_per_side)
+        return assemble(hier, *args, **kwargs)
+
+    monkeypatch.setattr(lod, "assemble_corrector_set", counting)
+    report = run_convergence(cfg(fine_n=32, coarse_n=(4, 8), levels=(1, 2),
+                                 mode="global"))
+    assert calls == [4, 8]
+    errors = {(r.coarse_n, r.level): (r.err_l2, r.err_h1, r.err_energy)
+              for r in report.rows}
+    assert errors[4, 1] == errors[4, 2] and errors[8, 1] == errors[8, 2]
+
+
 def test_rhs_selector_one():
     report = run_solve(cfg(fine_n=16, coarse_n=(4,), coeff_cell=8, rhs="one"))
     assert all(np.isfinite(r.err_h1) and r.err_h1 > 0 for r in report.rows)
@@ -203,3 +221,16 @@ def test_cli_exit_codes(tmp_path):
 
 def test_cli_missing_config_file():
     assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 1
+
+
+@pytest.mark.parametrize("command, text", [
+    ("convergence", "fine_n = 64\ncoarse_n = 8\ncoeff_cell = 48\n"),
+    ("convergence", "fine_n = 16\ncoarse_n = 4\ncoeff_kind = periodic\n"
+                    "coeff_amplitude = 0.5\n"),
+    ("decay", "fine_n = 16\ncoarse_n = 4\ndecay_node = 99999\n"),
+], ids=["coeff_cell", "coeff_amplitude", "decay_node"])
+def test_cli_bad_inputs_are_config_errors(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")

@@ -204,3 +204,11 @@ def test_apply_subset_stiffness_sums_to_full(rng):
     part1 = apply_subset_stiffness(mesh, coeff, np.arange(10), vec)
     part2 = apply_subset_stiffness(mesh, coeff, np.arange(10, mesh.n_triangles), vec)
     np.testing.assert_allclose(part1 + part2, total, atol=1e-12)
+    # an (nv, 3) block gives the single-vector results, column by column
+    block = rng.standard_normal((mesh.n_vertices, 3))
+    elements = np.arange(3, 25)
+    out = apply_subset_stiffness(mesh, coeff, elements, block)
+    assert out.shape == block.shape
+    for j in range(3):
+        assert np.array_equal(
+            out[:, j], apply_subset_stiffness(mesh, coeff, elements, block[:, j]))

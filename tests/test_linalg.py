@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from lodfem import SaddleSystem, SolverFailure, saddle_solve, spd_solve
-from lodfem.linalg import extract_submatrix, matvec, transpose_matvec
+from lodfem import SolverFailure, spd_solve
+from lodfem.linalg import SaddleFactorization
 
 import oracles
 
@@ -63,21 +63,20 @@ def test_spd_singular_raises():
 def test_saddle_no_constraints_reduces_to_spd(rng):
     A = random_spd(rng, 8)
     b = rng.standard_normal(8)
-    sys = SaddleSystem(csr(A), sparse.csr_matrix((0, 8)), b)
-    x, mu = saddle_solve(sys)
+    x, mu = SaddleFactorization(csr(A), sparse.csr_matrix((0, 8))).solve(b)
     assert mu.size == 0
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
 
 def test_saddle_projection_hand_case():
-    sys = SaddleSystem(csr(np.eye(2)), csr([[1.0, 1.0]]), np.array([1.0, 0.0]))
-    x, mu = saddle_solve(sys)
+    x, mu = SaddleFactorization(csr(np.eye(2)), csr([[1.0, 1.0]])).solve(
+        np.array([1.0, 0.0]))
     np.testing.assert_allclose(x, [0.5, -0.5], atol=1e-12)
 
 
 def test_saddle_zero_rhs():
-    sys = SaddleSystem(csr(np.eye(3)), csr([[1, 1, 0]]), np.zeros(3))
-    x, mu = saddle_solve(sys)
+    x, mu = SaddleFactorization(csr(np.eye(3)), csr([[1, 1, 0]])).solve(
+        np.zeros(3))
     assert np.all(x == 0)
     assert np.all(mu == 0)
 
@@ -86,11 +85,26 @@ def test_saddle_against_dense_kkt_oracle(rng):
     for n, m in ((6, 2), (15, 5), (30, 10)):
         A = random_spd(rng, n)
         C = rng.standard_normal((m, n))
-        b = rng.standard_normal(n)
-        x, mu = saddle_solve(SaddleSystem(csr(A), csr(C), b))
-        x_ref, _ = oracles.dense_kkt_solve(A, C, b)
-        np.testing.assert_allclose(x, x_ref, atol=1e-8)
-        assert np.linalg.norm(C @ x) <= 1e-10 * max(1.0, np.linalg.norm(x))
+        b = rng.standard_normal((n, 3))
+        fac = SaddleFactorization(csr(A), csr(C))
+        singles = []
+        for j in range(3):
+            x, mu = fac.solve(b[:, j])
+            x_ref, _ = oracles.dense_kkt_solve(A, C, b[:, j])
+            np.testing.assert_allclose(x, x_ref, atol=1e-8)
+            assert np.linalg.norm(C @ x) <= 1e-10 * max(1.0, np.linalg.norm(x))
+            singles.append((x, mu))
+        # the same right-hand sides as one block: each column matches its
+        # single solve
+        X, MU = fac.solve(b)
+        assert X.shape == (n, 3) and MU.shape == (m, 3)
+        for j, (x, mu) in enumerate(singles):
+            np.testing.assert_allclose(X[:, j], x, rtol=1e-12,
+                                       atol=1e-12 * np.abs(x).max())
+            np.testing.assert_allclose(MU[:, j], mu, rtol=1e-12,
+                                       atol=1e-12 * np.abs(mu).max())
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fac.solve(np.ones((n + 1, 3)))
 
 
 def test_saddle_minimizes_energy_over_kernel(rng):
@@ -98,7 +112,7 @@ def test_saddle_minimizes_energy_over_kernel(rng):
     A = random_spd(rng, n)
     C = rng.standard_normal((m, n))
     b = rng.standard_normal(n)
-    x, _ = saddle_solve(SaddleSystem(csr(A), csr(C), b))
+    x, _ = SaddleFactorization(csr(A), csr(C)).solve(b)
     objective = 0.5 * x @ A @ x - b @ x
     import scipy.linalg as sla
     Z = sla.null_space(C)
@@ -113,54 +127,15 @@ def test_saddle_rank_deficient_constraints(rng):
     C1 = rng.standard_normal((3, n))
     C2 = np.vstack([C1, C1[0]])  # duplicated row: rank deficient
     b = rng.standard_normal(n)
-    x_full, _ = saddle_solve(SaddleSystem(csr(A), csr(C1), b))
-    x_dup, _ = saddle_solve(SaddleSystem(csr(A), csr(C2), b))
+    x_full, _ = SaddleFactorization(csr(A), csr(C1)).solve(b)
+    x_dup, _ = SaddleFactorization(csr(A), csr(C2)).solve(b)
     np.testing.assert_allclose(x_dup, x_full, atol=1e-8)
-
-
-def test_saddle_rejects_asymmetric_matrix():
-    A = csr([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="not symmetric"):
-        SaddleSystem(A, sparse.csr_matrix((0, 2)), np.zeros(2))
 
 
 def test_saddle_deterministic(rng):
     A = csr(random_spd(rng, 15))
     C = csr(rng.standard_normal((4, 15)))
     b = rng.standard_normal(15)
-    x1, mu1 = saddle_solve(SaddleSystem(A, C, b))
-    x2, mu2 = saddle_solve(SaddleSystem(A, C, b))
+    x1, mu1 = SaddleFactorization(A, C).solve(b)
+    x2, mu2 = SaddleFactorization(A, C).solve(b)
     assert np.array_equal(x1, x2) and np.array_equal(mu1, mu2)
-
-
-def test_matvec_matches_dense(rng):
-    A = rng.standard_normal((4, 6))
-    x = rng.standard_normal(6)
-    y = rng.standard_normal(4)
-    np.testing.assert_allclose(matvec(csr(A), x), A @ x, atol=1e-14)
-    np.testing.assert_allclose(transpose_matvec(csr(A), y), A.T @ y, atol=1e-14)
-    with pytest.raises(ValueError):
-        matvec(csr(A), y)
-
-
-def test_matvec_zero_vector():
-    A = csr(np.arange(12.0).reshape(3, 4))
-    assert np.all(matvec(A, np.zeros(4)) == 0)
-
-
-def test_extract_submatrix(rng):
-    A = rng.standard_normal((6, 6))
-    sub = extract_submatrix(csr(A), [1, 3], [0, 2, 5])
-    np.testing.assert_allclose(sub.toarray(), A[np.ix_([1, 3], [0, 2, 5])],
-                               atol=1e-14)
-    assert sub.has_sorted_indices
-    eye = extract_submatrix(csr(np.eye(5)), [0, 1, 2], [0, 1, 2])
-    np.testing.assert_array_equal(eye.toarray(), np.eye(3))
-
-
-def test_extract_submatrix_out_of_bounds():
-    A = csr(np.eye(4))
-    with pytest.raises(IndexError):
-        extract_submatrix(A, [0, 4], [0])
-    with pytest.raises(IndexError):
-        extract_submatrix(A, [0], [-1])

@@ -6,9 +6,8 @@ import scipy.sparse as sparse
 from lodfem import build_interpolation, build_multiscale_space, \
     build_uniform_mesh, build_operators, element_patch, error_norms, \
     fit_decay, make_checkerboard, make_constant, measure_corrector_decay, \
-    refine_hierarchy, solve_global_corrector, solve_local_corrector, \
-    solve_multiscale, solve_reference
-from lodfem.lod import CorrectorSet, assemble_corrector_set
+    refine_hierarchy, solve_global_corrector, solve_multiscale, solve_reference
+from lodfem.lod import CorrectorSet, _element_correctors, assemble_corrector_set
 from lodfem.mesh import node_star
 
 
@@ -39,6 +38,16 @@ def kernel_basis(problem):
 
 def energy(ops, v):
     return float(np.sqrt(max(v @ (ops.stiffness_coeff @ v), 0.0)))
+
+
+def element_contribution(hier, ops, interp, node, element, order):
+    """Fine interior vector of `node`'s contribution from `element`'s patch."""
+    nodes, dofs, x = _element_correctors(hier, ops, interp, element, order,
+                                         1e-10)
+    column = list(nodes).index(hier.coarse.interior_index[node])
+    out = np.zeros(hier.fine.n_interior)
+    out[dofs] = x[:, column]
+    return out
 
 
 def test_global_corrector_orthogonal_to_kernel(problem, kernel_basis, rng):
@@ -105,20 +114,11 @@ def test_local_corrector_supported_in_patch(problem):
     node = int(hier.coarse.interior_vertices[0])
     element = int(node_star(hier.coarse, node)[0])
     patch = element_patch(hier, element, 1)
-    phi = solve_local_corrector(node, element, 1, hier, ops, interp)
+    phi = element_contribution(hier, ops, interp, node, element, 1)
     outside = np.setdiff1d(np.arange(hier.fine.n_interior),
                            patch.fine_interior_dofs)
     assert np.all(phi[outside] == 0.0)
     assert np.any(phi != 0.0)
-
-
-def test_local_corrector_requires_node_of_element(problem):
-    hier, ops, interp = problem
-    node = int(hier.coarse.interior_vertices[0])
-    far_element = int(hier.coarse.n_triangles - 1)
-    assert node not in hier.coarse.triangles[far_element]
-    with pytest.raises(ValueError, match="not a vertex"):
-        solve_local_corrector(node, far_element, 1, hier, ops, interp)
 
 
 def test_local_correctors_sum_to_global_at_saturation(problem):
@@ -128,8 +128,8 @@ def test_local_correctors_sum_to_global_at_saturation(problem):
         node = int(node)
         total = np.zeros(hier.fine.n_interior)
         for element in node_star(hier.coarse, node):
-            total += solve_local_corrector(node, int(element), l_sat,
-                                           hier, ops, interp)
+            total += element_contribution(hier, ops, interp, node,
+                                          int(element), l_sat)
         phi = solve_global_corrector(node, hier, ops, interp)
         assert energy(ops, total - phi) <= 1e-8
 
@@ -142,7 +142,7 @@ def test_assemble_matches_manual_star_sums(problem):
     assert star.size == 6
     manual = np.zeros(hier.fine.n_interior)
     for element in star:
-        manual += solve_local_corrector(node, int(element), 1, hier, ops, interp)
+        manual += element_contribution(hier, ops, interp, node, int(element), 1)
     row = cs.matrix.getrow(hier.coarse.interior_index[node]).toarray().ravel()
     np.testing.assert_array_equal(row, manual)
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lodfem import build_uniform_mesh, element_patch, export_text, node_star, \
+from lodfem import build_uniform_mesh, element_patch, node_star, \
     refine_hierarchy
 
 import oracles
@@ -234,14 +234,3 @@ def test_patch_active_nodes_are_stars_meeting_patch():
         if set(node_star(h.coarse, int(v))) & patch)
     assert list(p.active_coarse_nodes) == expected
 
-
-def test_export_text(tmp_path):
-    m = build_uniform_mesh(2)
-    path = tmp_path / "mesh.txt"
-    export_text(m, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == m.n_vertices + m.n_triangles
-    x, y, flag = lines[0].split()
-    assert (float(x), float(y), int(flag)) == (0.0, 0.0, 1)
-    assert [int(v) for v in lines[m.n_vertices].split()] == \
-        list(m.triangles[0])
