@@ -1,7 +1,7 @@
 """Localized orthogonal decomposition multiscale FEM on the unit square."""
 
-from .coefficient import (CoeffDescriptor, CoefficientField, make_checkerboard,
-                          make_constant, make_periodic)
+from .coefficient import CoefficientField, make_checkerboard, make_constant, \
+    make_periodic
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, \
     serialize_config
 from .fem import AssembledOperators, assemble_load, assemble_mass, \

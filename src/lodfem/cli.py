@@ -41,7 +41,7 @@ def _load(args):
     overrides = {}
     if args.out:
         overrides["out"] = args.out
-    if args.threads:
+    if args.threads is not None:
         overrides["threads"] = args.threads
     if overrides:
         cfg = replace(cfg, **overrides)

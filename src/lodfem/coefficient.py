@@ -3,9 +3,9 @@
 Two generator families cover the regimes the multiscale method targets:
 a smooth separable oscillation with period parameter epsilon, and a seeded
 log-uniform checkerboard with contrast up to 1e3.  Fields are immutable and
-bit-reproducible from their descriptor (the checkerboard draws its block
-values from a counter-based Philox generator keyed by the seed, so values
-do not depend on evaluation order or thread count).
+bit-reproducible from their generator parameters (the checkerboard draws its
+block values from a counter-based Philox generator keyed by the seed, so
+values do not depend on evaluation order or thread count).
 """
 
 from dataclasses import dataclass
@@ -13,25 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CoeffDescriptor:
-    """Generator kind plus the parameters that reproduce the field."""
-
-    kind: str                 # constant | periodic | checkerboard
-    constant: float = 1.0
-    epsilon: float = 0.125
-    amplitude: float = 2.0
-    cell: int = 8
-    contrast: float = 100.0
-    seed: int = 0
-
-
 @dataclass(eq=False)
 class CoefficientField:
     values: np.ndarray  # one positive diffusivity per fine element
     alpha: float        # exact min of values
     beta: float         # exact max of values
-    descriptor: CoeffDescriptor
 
     def validate(self):
         """Recompute the bounds and confirm the stored alpha/beta."""
@@ -42,13 +28,12 @@ class CoefficientField:
             raise ValueError("stored coefficient bounds are stale")
 
 
-def _from_values(values, descriptor):
+def _from_values(values):
     values = np.asarray(values, dtype=float)
     return CoefficientField(
         values=values,
         alpha=float(values.min()),
         beta=float(values.max()),
-        descriptor=descriptor,
     )
 
 
@@ -56,8 +41,7 @@ def make_constant(c, fine):
     """Constant diffusivity c > 0 on every fine element."""
     if c <= 0:
         raise ValueError(f"invalid coefficient: need c > 0, got {c}")
-    desc = CoeffDescriptor(kind="constant", constant=float(c))
-    return _from_values(np.full(fine.n_triangles, float(c)), desc)
+    return _from_values(np.full(fine.n_triangles, float(c)))
 
 
 def make_periodic(epsilon, amplitude, fine):
@@ -73,9 +57,7 @@ def make_periodic(epsilon, amplitude, fine):
     cx, cy = fine.element_centroids[:, 0], fine.element_centroids[:, 1]
     values = (amplitude + np.cos(2 * np.pi * cx / epsilon)) * \
              (amplitude + np.sin(2 * np.pi * cy / epsilon))
-    desc = CoeffDescriptor(kind="periodic", epsilon=float(epsilon),
-                           amplitude=float(amplitude))
-    return _from_values(values, desc)
+    return _from_values(values)
 
 
 def make_checkerboard(cell, contrast, seed, fine):
@@ -100,10 +82,7 @@ def make_checkerboard(cell, contrast, seed, fine):
     c = fine.element_centroids
     bx = np.floor(c[:, 0] * cell).astype(np.int64)
     by = np.floor(c[:, 1] * cell).astype(np.int64)
-    values = block_values[by * cell + bx]
-    desc = CoeffDescriptor(kind="checkerboard", cell=int(cell),
-                           contrast=float(contrast), seed=int(seed))
-    return _from_values(values, desc)
+    return _from_values(block_values[by * cell + bx])
 
 
 def export_raster(coeff, fine, path):

@@ -19,13 +19,11 @@ from .linalg import spd_solve
 class AssembledOperators:
     """Interior-restricted operators for one mesh/coefficient/load triple."""
 
-    mesh: object
     coeff: object                       # CoefficientField or None (unit)
     stiffness_coeff: sparse.csr_matrix  # a(.,.) with the diffusion field
     stiffness_plain: sparse.csr_matrix  # unit-coefficient stiffness
     mass: sparse.csr_matrix
     load: np.ndarray
-    dof_map: np.ndarray                 # interior dof -> vertex id
 
 
 def _coeff_values(mesh, coeff):
@@ -139,13 +137,11 @@ def subset_h1_sq(mesh, elements, vec_full):
 def build_operators(mesh, coeff, f):
     """Assemble all interior-restricted operators for one problem."""
     return AssembledOperators(
-        mesh=mesh,
         coeff=coeff,
         stiffness_coeff=assemble_stiffness(mesh, coeff),
         stiffness_plain=assemble_stiffness(mesh, None),
         mass=assemble_mass(mesh),
         load=assemble_load(mesh, f),
-        dof_map=mesh.interior_vertices,
     )
 
 

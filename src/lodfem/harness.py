@@ -122,8 +122,42 @@ def _localized_solve_count(coarse):
     return int(np.count_nonzero(coarse.interior_index[coarse.triangles] >= 0))
 
 
+def _solve_level(cfg, hier, ops, interp, u_ref, level):
+    """Errors, corrector count and fine solution of one patch order.
+
+    Level 0 is the plain coarse FEM; a solver failure gives NaN errors, a
+    zero count and no solution.
+    """
+    try:
+        if level == 0:
+            correctors = lod.CorrectorSet(sparse.csr_matrix(
+                (hier.coarse.n_interior, hier.fine.n_interior)))
+            count = 0
+        elif cfg.mode == "global":
+            correctors = lod.assemble_corrector_set(
+                hier, ops, interp, mode="global", tol=cfg.tol)
+            count = hier.coarse.n_interior
+        else:
+            correctors = lod.assemble_corrector_set(
+                hier, ops, interp, mode="localized", order=level,
+                tol=cfg.tol, threads=cfg.threads)
+            count = _localized_solve_count(hier.coarse)
+        space = lod.build_multiscale_space(hier, ops, correctors)
+        solve_mode = "petrov_galerkin" \
+            if cfg.mode == "petrov" and level > 0 else "galerkin"
+        _, u_ms = lod.solve_multiscale(space, solve_mode, cfg.tol)
+        return fem.error_norms(u_ms, u_ref, ops), count, u_ms
+    except lod.SolverFailure:
+        return (float("nan"),) * 3, 0, None
+
+
 def _sweep(cfg, coarse_list, level_list):
-    """One (coarse size, patch order) grid against a shared fine reference."""
+    """One (coarse size, patch order) grid against a shared fine reference.
+
+    Each distinct corrector set is solved once per coarse size, and its row
+    is copied to every level that uses it: in global mode all positive
+    levels share the one global set.  A copy's `seconds` is 0.
+    """
     fine = build_uniform_mesh(cfg.fine_n)
     coeff = build_coefficient(cfg, fine)
     f = rhs_function(cfg.rhs)
@@ -136,39 +170,20 @@ def _sweep(cfg, coarse_list, level_list):
         hier = refine_hierarchy(build_uniform_mesh(coarse_n),
                                 int(np.log2(cfg.fine_n // coarse_n)))
         interp = interpolation.build_interpolation(hier)
-        zero_correctors = lod.CorrectorSet(
-            mode="localized", order=0, nodes=hier.coarse.interior_vertices,
-            matrix=sparse.csr_matrix((hier.coarse.n_interior, fine.n_interior)))
-        global_correctors = None  # shared by all patch orders, timed in the first
+        solved = {}  # corrector set -> (errors, count, solution)
         for level in [0] + sorted(level_list):
-            with _Clock(timing) as clock:
-                try:
-                    if level == 0:
-                        correctors, count = zero_correctors, 0
-                    elif cfg.mode == "global":
-                        if global_correctors is None:
-                            global_correctors = lod.assemble_corrector_set(
-                                hier, ops, interp, mode="global", tol=cfg.tol)
-                        correctors = global_correctors
-                        count = hier.coarse.n_interior
-                    else:
-                        correctors = lod.assemble_corrector_set(
-                            hier, ops, interp, mode="localized", order=level,
-                            tol=cfg.tol, threads=cfg.threads)
-                        count = _localized_solve_count(hier.coarse)
-                    space = lod.build_multiscale_space(hier, ops, correctors)
-                    solve_mode = "petrov_galerkin" \
-                        if cfg.mode == "petrov" and level > 0 else "galerkin"
-                    _, u_ms = lod.solve_multiscale(space, solve_mode, cfg.tol)
-                    errs = fem.error_norms(u_ms, u_ref, ops)
-                except lod.SolverFailure:
-                    errs = (float("nan"),) * 3
-                    count = 0
-                    u_ms = None
+            key = "global" if cfg.mode == "global" and level > 0 else level
+            seconds = 0.0
+            if key not in solved:
+                with _Clock(timing) as clock:
+                    solved[key] = _solve_level(cfg, hier, ops, interp, u_ref,
+                                               level)
+                seconds = clock.seconds
+            errs, count, u_ms = solved[key]
             report.rows.append(ReportRow(
                 coarse_n=coarse_n, level=level,
                 err_l2=errs[0], err_h1=errs[1], err_energy=errs[2],
-                seconds=clock.seconds, corrector_count=count))
+                seconds=seconds, corrector_count=count))
     report.fill_orders()
     return report, fine, u_ms
 

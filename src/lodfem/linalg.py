@@ -1,17 +1,18 @@
-"""Sparse solver kernels shared by assembly, correctors, and the harness.
+"""The sparse solver kernel shared by assembly, correctors, and the harness.
 
 Matrices are scipy CSR (``indptr``/``indices``/``data`` are the row offsets,
-column indices, and values of the compressed-sparse-row layout).  Two kernels
-cover every linear solve in the package: a symmetric positive definite solve
-and an equality-constrained quadratic solve
+column indices, and values of the compressed-sparse-row layout).  One kernel,
+SaddleFactorization, does every linear solve in the package: the
+equality-constrained quadratic solve
 
     minimize 1/2 x'Ax - b'x   subject to  Cx = 0,
 
-handled through its KKT system.  Both factorize with SuperLU and polish with
-iterative refinement; they either meet the requested residual tolerance or
-raise SolverFailure carrying the achieved residual.  Solves are pure
-functions of their inputs, so repeated or concurrent calls on shared
-immutable matrices are deterministic.
+handled through its KKT system.  An unconstrained solve Ax = b is the case
+of C with zero rows (m = 0), in which A need not be symmetric.  The kernel
+factorizes with SuperLU and polishes with iterative refinement; it either
+meets the requested residual tolerance or raises SolverFailure carrying the
+achieved residual.  Solves are pure functions of their inputs, so repeated
+or concurrent calls on shared immutable matrices are deterministic.
 """
 
 import numpy as np
@@ -33,33 +34,16 @@ class SolverFailure(RuntimeError):
 def spd_solve(A, b, tol=1e-10):
     """Solve Ax = b for symmetric positive definite A to a relative residual.
 
-    Direct LU factorization plus iterative refinement; deterministic for
-    fixed inputs.  Raises SolverFailure if the residual target is missed.
+    The unconstrained case of SaddleFactorization; deterministic for fixed
+    inputs.  Raises SolverFailure if the residual target is missed.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
         raise ValueError(f"shape mismatch: matrix {A.shape}, vector {b.shape}")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-    try:
-        lu = spla.splu(sparse.csc_matrix(A))
-    except RuntimeError as exc:
-        raise SolverFailure(f"factorization failed: {exc}") from exc
-    x = lu.solve(b)
-    for _ in range(_REFINE_STEPS):
-        r = b - A @ x
-        if np.linalg.norm(r) <= tol * norm_b:
-            break
-        x = x + lu.solve(r)
-    resid = np.linalg.norm(b - A @ x)
-    if not np.isfinite(resid) or resid > tol * norm_b:
-        raise SolverFailure(
-            f"spd solve missed tolerance: residual {resid:.3e} > {tol:.1e} * {norm_b:.3e}",
-            residual=float(resid))
-    return x
+    no_constraints = sparse.csr_matrix((0, A.shape[0]))
+    return SaddleFactorization(A, no_constraints).solve(b, tol)[0]
 
 
 class SaddleFactorization:
@@ -67,7 +51,9 @@ class SaddleFactorization:
 
     Rank-deficient constraints make the KKT matrix singular; in that case a
     dense least-squares solve recovers the (still unique) minimizer x with a
-    least-norm multiplier.
+    least-norm multiplier.  Any other singular system takes the same
+    fallback, and its least-squares solution is accepted only if it passes
+    the residual test.
     """
 
     def __init__(self, A, C):
@@ -129,7 +115,7 @@ class SaddleFactorization:
         if failed.size:
             j = failed[0]
             raise SolverFailure(
-                f"saddle solve missed tolerance: stationarity {stat[j]:.3e}, "
+                f"solve missed tolerance: stationarity {stat[j]:.3e}, "
                 f"feasibility {feas[j]:.3e}", residual=float(max(stat[j], feas[j])))
         if b.ndim == 1:
             return x[:, 0], mu[:, 0]

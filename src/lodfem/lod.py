@@ -24,7 +24,6 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from . import fem
 from .linalg import SaddleFactorization, SolverFailure, spd_solve
@@ -35,9 +34,6 @@ from .mesh import element_patch
 class CorrectorSet:
     """One fine-space corrector per coarse interior node (rows of `matrix`)."""
 
-    mode: str                    # "global" or "localized"
-    order: int | None            # patch order for localized mode
-    nodes: np.ndarray            # coarse vertex id per row
     matrix: sparse.csr_matrix    # (n_coarse_interior, n_fine_interior)
 
 
@@ -161,9 +157,7 @@ def assemble_corrector_set(hierarchy, ops, interp, mode="localized", order=2,
             blocks = list(map(solve, seeds))
     else:
         raise ValueError(f"unknown corrector mode: {mode!r}")
-    return CorrectorSet(mode=mode, order=None if mode == "global" else int(order),
-                        nodes=coarse.interior_vertices,
-                        matrix=_merge(blocks, shape))
+    return CorrectorSet(matrix=_merge(blocks, shape))
 
 
 def build_multiscale_space(hierarchy, ops, correctors):
@@ -193,16 +187,9 @@ def solve_multiscale(space, mode="galerkin", tol=1e-10):
             raise ValueError("assembly integrity lost: coarse system is not SPD")
         coeffs = spd_solve(gram, space.load, tol)
     elif mode == "petrov_galerkin":
-        if np.linalg.norm(space.load_pg) == 0.0:
-            coeffs = np.zeros(space.gram_pg.shape[0])
-        else:
-            lu = spla.splu(sparse.csc_matrix(space.gram_pg))
-            coeffs = lu.solve(space.load_pg)
-            resid = np.linalg.norm(space.gram_pg @ coeffs - space.load_pg)
-            if not np.isfinite(resid) or \
-                    resid > tol * np.linalg.norm(space.load_pg):
-                raise SolverFailure("coarse Petrov-Galerkin solve failed",
-                                    residual=float(resid))
+        no_constraints = sparse.csr_matrix((0, space.gram_pg.shape[0]))
+        coeffs, _ = SaddleFactorization(space.gram_pg, no_constraints).solve(
+            space.load_pg, tol)
     else:
         raise ValueError(f"unknown solve mode: {mode!r}")
     return coeffs, space.basis @ coeffs

@@ -100,8 +100,7 @@ class MeshHierarchy:
 
     coarse: TriMesh
     fine: TriMesh
-    levels: int
-    children: np.ndarray      # (nt_coarse, 4**levels) fine element ids
+    children: np.ndarray      # (nt_coarse, 4**k) fine element ids, k refinements
     vertex_embed: np.ndarray  # coarse vertex id -> fine vertex id
     prolongation: sparse.csr_matrix  # (nv_fine, n_coarse_interior)
 
@@ -115,8 +114,6 @@ class MeshHierarchy:
 class Patch:
     """l-th order vertex-adjacency neighborhood of a coarse element."""
 
-    seed_element: int
-    order: int
     coarse_elements: np.ndarray     # sorted coarse element ids
     fine_elements: np.ndarray       # sorted fine element ids covering the patch
     fine_interior_dofs: np.ndarray  # fine interior dof indices strictly inside
@@ -215,7 +212,6 @@ def refine_hierarchy(coarse, levels):
     return MeshHierarchy(
         coarse=coarse,
         fine=fine,
-        levels=levels,
         children=children,
         vertex_embed=vertex_embed,
         prolongation=prolongation,
@@ -279,8 +275,6 @@ def element_patch(hierarchy, element, order):
     patch_vertices = np.unique(coarse.triangles[coarse_elements])
     active = patch_vertices[~coarse.boundary_flags[patch_vertices]]
     return Patch(
-        seed_element=int(element),
-        order=int(order),
         coarse_elements=coarse_elements,
         fine_elements=fine_elements,
         fine_interior_dofs=fine_interior_dofs,

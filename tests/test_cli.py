@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lodfem import ConfigError, ExperimentConfig, lod, parse_config, \
     serialize_config
 from lodfem.cli import main
-from lodfem.config import DESK_PRESET, PAPER_PRESET
+from lodfem.config import DESK_PRESET, MODES, PAPER_PRESET, RHS_NAMES, \
+    TIMING_MODES
 from lodfem.harness import CSV_HEADER, run_coeff_export, run_convergence, \
     run_decay, run_solve
 
@@ -21,6 +23,47 @@ def test_config_round_trip():
     assert parse_config(serialize_config(c)) == c
     assert parse_config(serialize_config(DESK_PRESET)) == DESK_PRESET
     assert parse_config(serialize_config(PAPER_PRESET)) == PAPER_PRESET
+
+
+# Text values avoid what the format reserves: `#` starts a comment, line
+# breaks end the value, and surrounding blanks are stripped.
+_TEXT = st.text("abcxyz0189._/- =", max_size=12).filter(
+    lambda s: s == s.strip())
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    fine_power = draw(st.integers(2, 9))
+    return ExperimentConfig(
+        fine_n=2 ** fine_power,
+        coarse_n=tuple(2 ** q for q in draw(
+            st.lists(st.integers(1, fine_power - 1), min_size=1, max_size=4))),
+        levels=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))),
+        mode=draw(st.sampled_from(MODES)),
+        rhs=draw(st.sampled_from(RHS_NAMES)),
+        coeff_kind=draw(st.sampled_from(("constant", "periodic",
+                                         "checkerboard"))),
+        coeff_constant=draw(_FLOAT),
+        coeff_epsilon=draw(_FLOAT),
+        coeff_amplitude=draw(_FLOAT),
+        coeff_cell=draw(st.integers(-10, 10 ** 6)),
+        coeff_contrast=draw(_FLOAT),
+        seed=draw(st.integers(-2 ** 63, 2 ** 63)),
+        tol=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        threads=draw(st.integers(1, 64)),
+        timings=draw(st.sampled_from(TIMING_MODES)),
+        decay_factors=tuple(draw(st.lists(st.integers(2, 100), max_size=4))),
+        decay_node=draw(st.one_of(st.just("center"),
+                                  st.integers(0, 10 ** 6).map(str))),
+        out=draw(_TEXT),
+        solution_out=draw(_TEXT),
+    ).validate()
+
+
+@given(configs())
+def test_config_round_trip_property(c):
+    assert parse_config(serialize_config(c)) == c
 
 
 def test_config_comments_and_overrides():
@@ -142,10 +185,20 @@ def test_global_correctors_assembled_once_per_coarse_size(monkeypatch):
         calls.append(hier.coarse.cells_per_side)
         return assemble(hier, *args, **kwargs)
 
+    spaces = []
+    build_space = lod.build_multiscale_space
+
+    def counting_spaces(hier, *args, **kwargs):
+        spaces.append(hier.coarse.cells_per_side)
+        return build_space(hier, *args, **kwargs)
+
     monkeypatch.setattr(lod, "assemble_corrector_set", counting)
+    monkeypatch.setattr(lod, "build_multiscale_space", counting_spaces)
     report = run_convergence(cfg(fine_n=32, coarse_n=(4, 8), levels=(1, 2),
                                  mode="global"))
     assert calls == [4, 8]
+    # one space for level 0 and one for the shared global set
+    assert spaces == [4, 4, 8, 8]
     errors = {(r.coarse_n, r.level): (r.err_l2, r.err_h1, r.err_energy)
               for r in report.rows}
     assert errors[4, 1] == errors[4, 2] and errors[8, 1] == errors[8, 2]
@@ -223,14 +276,18 @@ def test_cli_missing_config_file():
     assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 1
 
 
-@pytest.mark.parametrize("command, text", [
-    ("convergence", "fine_n = 64\ncoarse_n = 8\ncoeff_cell = 48\n"),
+@pytest.mark.parametrize("command, text, flags", [
+    ("convergence", "fine_n = 64\ncoarse_n = 8\ncoeff_cell = 48\n", []),
     ("convergence", "fine_n = 16\ncoarse_n = 4\ncoeff_kind = periodic\n"
-                    "coeff_amplitude = 0.5\n"),
-    ("decay", "fine_n = 16\ncoarse_n = 4\ndecay_node = 99999\n"),
-], ids=["coeff_cell", "coeff_amplitude", "decay_node"])
-def test_cli_bad_inputs_are_config_errors(tmp_path, capsys, command, text):
+                    "coeff_amplitude = 0.5\n", []),
+    ("decay", "fine_n = 16\ncoarse_n = 4\ndecay_node = 99999\n", []),
+    ("coeff-export", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n",
+     ["--out", "c.txt", "--threads", "0"]),
+], ids=["coeff_cell", "coeff_amplitude", "decay_node", "threads_zero"])
+def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,
+                                          command, text, flags):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.cfg"
     path.write_text(text)
-    assert main([command, "--config", str(path)]) == 1
+    assert main([command, "--config", str(path), *flags]) == 1
     assert capsys.readouterr().err.startswith("config error:")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, strategies as st
 
 from lodfem import SolverFailure, spd_solve
 from lodfem.linalg import SaddleFactorization
@@ -58,6 +59,13 @@ def test_spd_singular_raises():
     A = csr([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SolverFailure):
         spd_solve(A, np.array([1.0, 1.0]))
+
+
+def test_spd_singular_consistent_gives_least_squares():
+    # SuperLU rejects the singular matrix; the dense fallback's solution
+    # meets the residual test
+    A = csr([[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(spd_solve(A, np.array([2.0, 0.0])), [2.0, 0.0])
 
 
 def test_saddle_no_constraints_reduces_to_spd(rng):
@@ -139,3 +147,49 @@ def test_saddle_deterministic(rng):
     x1, mu1 = SaddleFactorization(A, C).solve(b)
     x2, mu2 = SaddleFactorization(A, C).solve(b)
     assert np.array_equal(x1, x2) and np.array_equal(mu1, mu2)
+
+
+@given(n=st.integers(1, 12), data=st.data())
+def test_solve_matches_dense_oracle_or_fails(n, data):
+    """Constrained (SPD A) and unconstrained (nonsymmetric A) solves under a
+    diagonal scaling of up to 1e6: each column meets the tolerance against a
+    dense KKT oracle, or the solve raises SolverFailure; never a NaN."""
+    m = data.draw(st.integers(0, n // 2), label="m")
+    k = data.draw(st.integers(1, 3), label="columns")
+    scale = data.draw(st.floats(0.0, 6.0), label="log10 scaling")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    if m == 0:
+        A = rng.standard_normal((n, n)) + rng.uniform(0, n) * np.eye(n)
+    else:
+        A = random_spd(rng, n)
+    d = 10.0 ** (scale * rng.random(n))
+    A = d[:, None] * A * d[None, :]
+    C = rng.standard_normal((m, n))
+    b = rng.standard_normal((n, k))
+    K = np.block([[A, C.T], [C, np.zeros((m, m))]])
+    cond = np.linalg.cond(K)
+    tol = 1e-10
+    try:
+        x, mu = SaddleFactorization(csr(A), csr(C)).solve(
+            b[:, 0] if k == 1 else b, tol)
+    except SolverFailure:
+        assert cond > 1e8, f"well-conditioned system (cond {cond:.1e}) failed"
+        return
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(mu))
+    X, MU = x.reshape(n, k), mu.reshape(m, k)
+    for j in range(k):
+        x_ref, mu_ref = oracles.dense_kkt_solve(A, C, b[:, j])
+        stat = np.linalg.norm(A @ X[:, j] + C.T @ MU[:, j] - b[:, j])
+        # the oracle's residual may differ from the kernel's by round-off
+        round_off = (n + m) * np.finfo(float).eps * np.linalg.norm(
+            np.abs(A) @ np.abs(X[:, j]) + np.abs(C.T) @ np.abs(MU[:, j])
+            + np.abs(b[:, j]))
+        assert stat <= tol * np.linalg.norm(b[:, j]) + 2 * round_off
+        assert np.linalg.norm(C @ X[:, j]) <= \
+            tol * max(1.0, np.linalg.norm(X[:, j]))
+        # forward error of a tol-relative residual, both sides
+        z = np.concatenate([X[:, j], MU[:, j]])
+        z_ref = np.concatenate([x_ref, mu_ref])
+        assert np.linalg.norm(z - z_ref) <= \
+            4 * cond * (tol + 1e-15) * np.linalg.norm(z_ref)

@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
 
-from lodfem import build_interpolation, build_multiscale_space, \
-    build_uniform_mesh, build_operators, element_patch, error_norms, \
-    fit_decay, make_checkerboard, make_constant, measure_corrector_decay, \
-    refine_hierarchy, solve_global_corrector, solve_multiscale, solve_reference
-from lodfem.lod import CorrectorSet, _element_correctors, assemble_corrector_set
+from lodfem import SolverFailure, build_interpolation, \
+    build_multiscale_space, build_uniform_mesh, build_operators, \
+    element_patch, error_norms, fit_decay, make_checkerboard, make_constant, \
+    measure_corrector_decay, refine_hierarchy, solve_global_corrector, \
+    solve_multiscale, solve_reference
+from lodfem.lod import CorrectorSet, MultiscaleSpace, _element_correctors, \
+    assemble_corrector_set
 from lodfem.mesh import node_star
 
 
@@ -318,12 +320,21 @@ def test_fit_decay_drops_zero_tails():
         fit_decay([1, 2, 3], [1.0, 0.5, 0.0], 1.0)
 
 
+def test_singular_petrov_galerkin_system_is_a_solver_failure():
+    identity = sparse.identity(3, format="csr")
+    space = MultiscaleSpace(
+        basis=identity, gram=identity,
+        gram_pg=sparse.csr_matrix([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                                   [0.0, 0.0, 1.0]]),
+        load=np.ones(3), load_pg=np.ones(3))
+    with pytest.raises(SolverFailure):
+        solve_multiscale(space, "petrov_galerkin")
+
+
 def test_zero_corrector_set_is_plain_coarse_fem(problem):
     hier, ops, interp = problem
-    zero = CorrectorSet(
-        mode="localized", order=0, nodes=hier.coarse.interior_vertices,
-        matrix=sparse.csr_matrix((hier.coarse.n_interior,
-                                  hier.fine.n_interior)))
+    zero = CorrectorSet(sparse.csr_matrix((hier.coarse.n_interior,
+                                           hier.fine.n_interior)))
     space = build_multiscale_space(hier, ops, zero)
     coeffs, _ = solve_multiscale(space)
     P = hier.prolongation_interior
