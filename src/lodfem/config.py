@@ -1,9 +1,10 @@
 """Experiment configuration: flat key = value text files with # comments.
 
 Lists are comma separated.  Every field serializes, so parse(serialize(c))
-round-trips exactly.  Two presets ship: `desk` finishes full sweeps in
-minutes, `paper` runs the full-scale study (fine grid 256, coarse sizes
-8..64, patch orders 1..3).
+round-trips exactly for every valid config; for that, a text value may not
+hold `#` or a line break, or start or end with blanks.  Two presets ship:
+`desk` finishes full sweeps in minutes, `paper` runs the full-scale study
+(fine grid 256, coarse sizes 8..64, patch orders 1..3).
 """
 
 from dataclasses import dataclass, fields, replace
@@ -40,6 +41,14 @@ class ExperimentConfig:
     solution_out: str = ""
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and (
+                    "#" in value or value != value.strip()
+                    or len(value.splitlines()) > 1):
+                raise ConfigError(
+                    f"{f.name} cannot hold '#', a line break, or leading or "
+                    f"trailing blanks, got {value!r}")
         if self.fine_n < 2:
             raise ConfigError(f"fine_n must be >= 2, got {self.fine_n}")
         if not self.coarse_n:

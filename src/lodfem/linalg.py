@@ -7,17 +7,22 @@ equality-constrained quadratic solve
 
     minimize 1/2 x'Ax - b'x   subject to  Cx = 0,
 
-handled through its KKT system.  An unconstrained solve Ax = b is the case
-of C with zero rows (m = 0), in which A need not be symmetric.  The kernel
-factorizes with SuperLU and polishes with iterative refinement; it either
-meets the requested residual tolerance or raises SolverFailure carrying the
-achieved residual.  Solves are pure functions of their inputs, so repeated
-or concurrent calls on shared immutable matrices are deterministic.
+handled through the Schur complement of its KKT system.  With constraints
+(m > 0) A is symmetric positive definite, so SuperLU factorizes it once in
+its symmetric mode (minimum degree on A'+A, diagonal pivots), and the small
+dense Schur complement S = C A^-1 C' is Cholesky-factorized.  An
+unconstrained solve Ax = b is the case of C with zero rows (m = 0), in which
+A need not be symmetric and SuperLU's default pivoted ordering is used.  The
+kernel polishes with iterative refinement; it either meets the requested
+residual tolerance or raises SolverFailure carrying the achieved residual.
+Solves are pure functions of their inputs, so repeated or concurrent calls
+on shared immutable matrices are deterministic.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 _REFINE_STEPS = 2
 _DENSE_FALLBACK_LIMIT = 5000
@@ -47,38 +52,60 @@ def spd_solve(A, b, tol=1e-10):
 
 
 class SaddleFactorization:
-    """Reusable KKT factorization for many right-hand sides.
+    """Reusable Schur-complement factorization for many right-hand sides.
 
-    Rank-deficient constraints make the KKT matrix singular; in that case a
-    dense least-squares solve recovers the (still unique) minimizer x with a
-    least-norm multiplier.  Any other singular system takes the same
-    fallback, and its least-squares solution is accepted only if it passes
+    A is factorized once; with constraints, Y = A^-1 C' is formed from one
+    block solve and S = C Y is Cholesky-factorized, so each application is
+    u = A^-1 r, mu = S^-1 (C u - q), x = u - Y mu.  When SuperLU rejects A,
+    Cholesky rejects S (rank-deficient constraints make S singular), or a
+    solve comes out non-finite, a dense least-squares solve of the KKT
+    matrix takes over; it recovers the (still unique) minimizer x with a
+    least-norm multiplier, and its solution is accepted only if it passes
     the residual test.
     """
 
     def __init__(self, A, C):
         self.A = A.tocsr()
         self.C = C.tocsr()
+        self.Ct = self.C.T.tocsr()
         self.n = A.shape[0]
         self.m = C.shape[0]
         self._lu = None
         self._dense = None
-        if self.m == 0:
-            self._kkt = sparse.csc_matrix(A)
-        else:
-            self._kkt = sparse.bmat([[A, C.T], [C, None]], format="csc")
         try:
-            self._lu = spla.splu(self._kkt)
-        except RuntimeError:
+            if self.m == 0:
+                self._lu = spla.splu(sparse.csc_matrix(A))
+            else:
+                self._lu = spla.splu(
+                    sparse.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+                self._Y = self._lu.solve(self.Ct.toarray())
+                self._schur = cho_factor(self.C @ self._Y, check_finite=False)
+        except (RuntimeError, LinAlgError):
             self._use_dense()
 
     def _use_dense(self):
-        if self._kkt.shape[0] > _DENSE_FALLBACK_LIMIT:
+        size = self.n + self.m
+        if size > _DENSE_FALLBACK_LIMIT:
             raise SolverFailure(
-                f"singular KKT system of size {self._kkt.shape[0]} "
+                f"singular KKT system of size {size} "
                 "exceeds the dense fallback limit")
         self._lu = None
-        self._dense = self._kkt.toarray()
+        self._dense = sparse.bmat(
+            [[self.A, self.Ct], [self.C, None]]).toarray()
+
+    def _apply(self, r, q):
+        """(x, mu) solving A x + C'mu = r, C x = q, column by column."""
+        u = self._lu.solve(r)
+        if self.m == 0:
+            return u, np.zeros((0, r.shape[1]))
+        mu = cho_solve(self._schur, self.C @ u - q, check_finite=False)
+        return u - self._Y @ mu, mu
+
+    def _residual(self, B, x, mu):
+        """Split residual (r, q) of the KKT system and its column norms."""
+        r, q = B - self.A @ x - self.Ct @ mu, -(self.C @ x)
+        return r, q, np.linalg.norm(r, axis=0), np.linalg.norm(q, axis=0)
 
     def solve(self, b, tol=1e-10):
         """Solve for one right-hand side (n,) or a block of them (n, k).
@@ -91,24 +118,25 @@ class SaddleFactorization:
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(f"shape mismatch: system size {self.n}, rhs {b.shape}")
         B = b.reshape(self.n, -1)
-        rhs = np.concatenate([B, np.zeros((self.m, B.shape[1]))])
         if self._dense is None:
-            z = self._lu.solve(rhs)
-            target = tol * np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
-            for _ in range(_REFINE_STEPS):
-                r = rhs - self._kkt @ z
-                open_cols = np.linalg.norm(r, axis=0) > target
-                if not open_cols.any():
+            x, mu = self._apply(B, np.zeros((self.m, B.shape[1])))
+            target = tol * np.maximum(np.linalg.norm(B, axis=0), 1e-300)
+            for step in range(_REFINE_STEPS + 1):
+                r, q, stat, feas = self._residual(B, x, mu)
+                open_cols = np.hypot(stat, feas) > target
+                if step == _REFINE_STEPS or not open_cols.any():
                     break
-                z[:, open_cols] += self._lu.solve(r[:, open_cols])
-            if not np.all(np.isfinite(z)):
+                dx, dmu = self._apply(r[:, open_cols], q[:, open_cols])
+                x[:, open_cols] += dx
+                mu[:, open_cols] += dmu
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu))):
                 self._use_dense()
         if self._dense is not None:
+            rhs = np.concatenate([B, np.zeros((self.m, B.shape[1]))])
             z, *_ = np.linalg.lstsq(self._dense, rhs, rcond=None)
-        x, mu = z[:self.n], z[self.n:]
+            x, mu = z[:self.n], z[self.n:]
+            _, _, stat, feas = self._residual(B, x, mu)
 
-        stat = np.linalg.norm(self.A @ x + self.C.T @ mu - B, axis=0)
-        feas = np.linalg.norm(self.C @ x, axis=0)
         failed = np.flatnonzero(
             ~np.isfinite(stat) | (stat > tol * np.linalg.norm(B, axis=0))
             | (feas > tol * np.maximum(1.0, np.linalg.norm(x, axis=0))))

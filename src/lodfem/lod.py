@@ -9,8 +9,10 @@ corrector exactly.  Subtracting correctors from the prolonged hats yields
 the multiscale basis whose Galerkin (or Petrov-Galerkin) solve is the
 method's output.
 
-Every corrector comes from one patch solve: the patch's KKT system is
-factorized once and all of its right-hand sides are solved as one block.
+Every corrector comes from one patch solve: the patch stiffness is
+factorized once, with the small Schur complement of the patch's
+interpolation constraints, and all of its right-hand sides are solved as one
+block.
 Localized mode solves one patch per coarse element, a column per interior
 vertex of the element; global mode solves the whole domain as one patch, a
 column per interior node.  The (coarse dof, patch dofs, values) triplets are
@@ -53,7 +55,7 @@ def _solve_patch(ops, interp, dofs, rows, rhs, tol, where):
 
     Each column x of the result minimizes a(x, x)/2 - (rhs, x) over the
     patch, subject to the quasi-interpolation rows `rows` vanishing on x.
-    One KKT factorization serves all columns of `rhs` (len(dofs), k).
+    One factorization serves all columns of `rhs` (len(dofs), k).
     """
     A = ops.stiffness_coeff[dofs][:, dofs]
     C = interp.matrix[rows][:, dofs]

@@ -25,10 +25,9 @@ def test_config_round_trip():
     assert parse_config(serialize_config(PAPER_PRESET)) == PAPER_PRESET
 
 
-# Text values avoid what the format reserves: `#` starts a comment, line
+# Text values may hold what the format reserves: `#` starts a comment, line
 # breaks end the value, and surrounding blanks are stripped.
-_TEXT = st.text("abcxyz0189._/- =", max_size=12).filter(
-    lambda s: s == s.strip())
+_TEXT = st.text("abcxyz0189._/- =#\t\n", max_size=12)
 _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -58,12 +57,29 @@ def configs(draw):
                                   st.integers(0, 10 ** 6).map(str))),
         out=draw(_TEXT),
         solution_out=draw(_TEXT),
-    ).validate()
+    )
+
+
+def _representable(text):
+    return "#" not in text and "\n" not in text and text == text.strip()
 
 
 @given(configs())
 def test_config_round_trip_property(c):
-    assert parse_config(serialize_config(c)) == c
+    """A config with a text value the format cannot hold is a ConfigError;
+    every other config round-trips exactly."""
+    if not (_representable(c.out) and _representable(c.solution_out)):
+        with pytest.raises(ConfigError):
+            c.validate()
+        return
+    assert parse_config(serialize_config(c.validate())) == c
+
+
+@pytest.mark.parametrize("field,value", [("out", "run#1.csv"),
+                                         ("solution_out", " lead.csv")])
+def test_config_rejects_text_that_cannot_round_trip(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{field: value}).validate()
 
 
 def test_config_comments_and_overrides():
@@ -291,3 +307,25 @@ def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,
     path.write_text(text)
     assert main([command, "--config", str(path), *flags]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("contrast", ["1e6", "1e8"])
+def test_localized_sweep_holds_up_at_high_contrast(tmp_path, contrast):
+    """Every corrector row of a localized sweep completes at contrasts of
+    1e6 and above, and the energy error falls with the patch order."""
+    config = tmp_path / "sweep.cfg"
+    config.write_text("fine_n = 64\ncoarse_n = 8\nlevels = 1,2,3\nrhs = x\n"
+                      "coeff_kind = checkerboard\ncoeff_cell = 64\nseed = 10\n"
+                      f"coeff_contrast = {contrast}\ntimings = off\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["convergence", "--config", str(config),
+                 "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    columns = header.split(",")
+    rows = [dict(zip(columns, map(float, line.split(",")))) for line in lines]
+    assert [row["level_l"] for row in rows] == [0, 1, 2, 3]
+    errors = [[row[name] for name in ("err_l2", "err_h1", "err_energy")]
+              for row in rows]
+    assert np.all(np.isfinite(errors))
+    energy = [row["err_energy"] for row in rows[1:]]
+    assert energy[0] > energy[1] > energy[2], energy

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
 from lodfem import SolverFailure, build_interpolation, \
     build_multiscale_space, build_uniform_mesh, build_operators, \
@@ -168,6 +169,28 @@ def test_threaded_assembly_bit_identical(problem):
     threaded = assemble_corrector_set(hier, ops, interp, mode="localized",
                                       order=2, threads=4)
     assert (serial.matrix != threaded.matrix).nnz == 0
+
+
+@settings(max_examples=20)
+@given(order=st.integers(1, 3), log_contrast=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_localized_correctors_in_kernel_and_thread_independent(
+        problem, order, log_contrast, seed):
+    """Over random contrasts up to 1e8: every localized corrector lies in the
+    kernel of the quasi-interpolation, and the assembled matrix does not
+    depend on the thread count, bit for bit."""
+    hier, _, interp = problem
+    coeff = make_checkerboard(16, 10.0 ** log_contrast, seed, hier.fine)
+    ops = build_operators(hier.fine, coeff, lambda x, y: x)
+    serial, threaded = (
+        assemble_corrector_set(hier, ops, interp, mode="localized",
+                               order=order, threads=threads).matrix
+        for threads in (1, 2))
+    phi = serial.toarray()
+    assert np.all(np.linalg.norm(phi @ interp.matrix.T.toarray(), axis=1)
+                  <= 1e-8 * np.linalg.norm(phi, axis=1))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
 
 
 def test_multiscale_zero_rhs(problem):
