@@ -63,6 +63,10 @@ class ExperimentConfig:
                     f"for nesting, got coarse_n {n}")
         if not self.levels or any(l < 1 for l in self.levels):
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
+        for name in ("coarse_n", "levels"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{name} repeats an entry: {entries}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.rhs not in RHS_NAMES:
@@ -75,6 +79,9 @@ class ExperimentConfig:
             raise ConfigError(f"timings must be one of {TIMING_MODES}")
         if any(f < 2 for f in self.decay_factors):
             raise ConfigError("decay_factors must be >= 2 (radii above the mesh size)")
+        if any(b <= a for a, b in zip(self.decay_factors, self.decay_factors[1:])):
+            raise ConfigError(
+                f"decay_factors must be strictly increasing, got {self.decay_factors}")
         if self.decay_node != "center" and not self.decay_node.isdigit():
             raise ConfigError("decay_node must be 'center' or a coarse vertex id")
         return self
@@ -88,32 +95,22 @@ PAPER_PRESET = ExperimentConfig(
 )
 PRESETS = {"desk": DESK_PRESET, "paper": PAPER_PRESET}
 
-_INT_FIELDS = {"fine_n", "coeff_cell", "seed", "threads"}
-_FLOAT_FIELDS = {"coeff_constant", "coeff_epsilon", "coeff_amplitude",
-                 "coeff_contrast", "tol"}
-_INT_LIST_FIELDS = {"coarse_n", "levels", "decay_factors"}
-
-
-def _parse_value(name, raw):
+def _parse_value(f, raw):
+    """The value of field `f` from its text, typed by the field's annotation:
+    int, float or str, and tuple for a comma-separated int list."""
     raw = raw.strip()
     try:
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-        if name in _INT_LIST_FIELDS:
-            if not raw:
-                return ()
-            return tuple(int(part.strip()) for part in raw.split(","))
+        if f.type is tuple:
+            return tuple(int(part) for part in raw.split(",")) if raw else ()
+        return f.type(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
-    return raw
+        raise ConfigError(f"bad value for {f.name}: {raw!r}") from exc
 
 
 def parse_config(text, base=None):
     """Parse key = value lines over a base config (desk preset by default)."""
     cfg = base if base is not None else DESK_PRESET
-    known = {f.name for f in fields(ExperimentConfig)}
+    by_name = {f.name: f for f in fields(ExperimentConfig)}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -123,9 +120,9 @@ def parse_config(text, base=None):
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in by_name:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        updates[key] = _parse_value(key, raw)
+        updates[key] = _parse_value(by_name[key], raw)
     return replace(cfg, **updates).validate()
 
 
@@ -143,7 +140,7 @@ def serialize_config(cfg):
     lines = []
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
-        if f.name in _INT_LIST_FIELDS:
+        if f.type is tuple:
             value = ",".join(str(v) for v in value)
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

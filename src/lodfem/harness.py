@@ -59,6 +59,11 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
+def _write(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 @dataclass
 class ReportRow:
     coarse_n: int
@@ -103,48 +108,43 @@ class ErrorReport:
         return self
 
 
-class _Clock:
-    def __init__(self, enabled):
-        self.enabled = enabled
-
-    def __enter__(self):
-        self._t0 = time.perf_counter() if self.enabled else 0.0
-        self.seconds = 0.0
-        return self
-
-    def __exit__(self, *exc):
-        if self.enabled:
-            self.seconds = time.perf_counter() - self._t0
-        return False
+def _problem(cfg):
+    """The config's fine mesh and its assembled operators."""
+    fine = build_uniform_mesh(cfg.fine_n)
+    coeff = build_coefficient(cfg, fine)
+    return fine, fem.build_operators(fine, coeff, rhs_function(cfg.rhs))
 
 
-def _localized_solve_count(coarse):
-    return int(np.count_nonzero(coarse.interior_index[coarse.triangles] >= 0))
+def _hierarchy(cfg, coarse_n):
+    """Coarse mesh `coarse_n` nested in the config's fine grid, and its
+    quasi-interpolation."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            int(np.log2(cfg.fine_n // coarse_n)))
+    return hier, interpolation.build_interpolation(hier)
 
 
-def _solve_level(cfg, hier, ops, interp, u_ref, level):
-    """Errors, corrector count and fine solution of one patch order.
+def _solve_level(cfg, hier, ops, interp, u_ref, order):
+    """Errors, corrector count and fine solution at one patch order.
 
-    Level 0 is the plain coarse FEM; a solver failure gives NaN errors, a
-    zero count and no solution.
+    Order 0 is the plain coarse FEM, None the global correctors and k the
+    correctors localized to order-k patches.  A solver failure gives NaN
+    errors, a zero count and no solution.
     """
+    coarse = hier.coarse
     try:
-        if level == 0:
+        if order == 0:
             correctors = lod.CorrectorSet(sparse.csr_matrix(
-                (hier.coarse.n_interior, hier.fine.n_interior)))
+                (coarse.n_interior, hier.fine.n_interior)))
             count = 0
-        elif cfg.mode == "global":
-            correctors = lod.assemble_corrector_set(
-                hier, ops, interp, mode="global", tol=cfg.tol)
-            count = hier.coarse.n_interior
         else:
             correctors = lod.assemble_corrector_set(
-                hier, ops, interp, mode="localized", order=level,
-                tol=cfg.tol, threads=cfg.threads)
-            count = _localized_solve_count(hier.coarse)
+                hier, ops, interp, order=order, tol=cfg.tol,
+                threads=cfg.threads)
+            count = coarse.n_interior if order is None else int(
+                np.count_nonzero(coarse.interior_index[coarse.triangles] >= 0))
         space = lod.build_multiscale_space(hier, ops, correctors)
         solve_mode = "petrov_galerkin" \
-            if cfg.mode == "petrov" and level > 0 else "galerkin"
+            if cfg.mode == "petrov" and order != 0 else "galerkin"
         _, u_ms = lod.solve_multiscale(space, solve_mode, cfg.tol)
         return fem.error_norms(u_ms, u_ref, ops), count, u_ms
     except lod.SolverFailure:
@@ -152,62 +152,49 @@ def _solve_level(cfg, hier, ops, interp, u_ref, level):
 
 
 def _sweep(cfg, coarse_list, level_list):
-    """One (coarse size, patch order) grid against a shared fine reference.
+    """One (coarse size, level) grid against a shared fine reference, written
+    to `cfg.out` if set.
 
-    Each distinct corrector set is solved once per coarse size, and its row
-    is copied to every level that uses it: in global mode all positive
-    levels share the one global set.  A copy's `seconds` is 0.
+    Each level's patch order is the level itself, or None (global) for every
+    positive level in global mode.  Each order is solved once per coarse
+    size and its row copied to every level that uses it, with `seconds` 0.
     """
-    fine = build_uniform_mesh(cfg.fine_n)
-    coeff = build_coefficient(cfg, fine)
-    f = rhs_function(cfg.rhs)
-    ops = fem.build_operators(fine, coeff, f)
+    cfg.validate()
+    fine, ops = _problem(cfg)
     u_ref = fem.solve_reference(ops, cfg.tol)
-    timing = cfg.timings == "wall"
 
     report = ErrorReport()
     for coarse_n in sorted(coarse_list):
-        hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                                int(np.log2(cfg.fine_n // coarse_n)))
-        interp = interpolation.build_interpolation(hier)
-        solved = {}  # corrector set -> (errors, count, solution)
+        hier, interp = _hierarchy(cfg, coarse_n)
+        solved = {}  # patch order -> (errors, count, solution)
         for level in [0] + sorted(level_list):
-            key = "global" if cfg.mode == "global" and level > 0 else level
+            order = None if cfg.mode == "global" and level > 0 else level
             seconds = 0.0
-            if key not in solved:
-                with _Clock(timing) as clock:
-                    solved[key] = _solve_level(cfg, hier, ops, interp, u_ref,
-                                               level)
-                seconds = clock.seconds
-            errs, count, u_ms = solved[key]
+            if order not in solved:
+                start = time.perf_counter()
+                solved[order] = _solve_level(cfg, hier, ops, interp, u_ref,
+                                             order)
+                if cfg.timings == "wall":
+                    seconds = time.perf_counter() - start
+            errs, count, u_ms = solved[order]
             report.rows.append(ReportRow(
                 coarse_n=coarse_n, level=level,
                 err_l2=errs[0], err_h1=errs[1], err_energy=errs[2],
                 seconds=seconds, corrector_count=count))
     report.fill_orders()
+    if cfg.out:
+        _write(cfg.out, report.csv_text())
     return report, fine, u_ms
-
-
-def _write(path, text):
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 def run_convergence(cfg):
     """Sweep the full (coarse size, patch order) grid of the config."""
-    cfg.validate()
-    report, _, _ = _sweep(cfg, cfg.coarse_n, cfg.levels)
-    if cfg.out:
-        _write(cfg.out, report.csv_text())
-    return report
+    return _sweep(cfg, cfg.coarse_n, cfg.levels)[0]
 
 
 def run_solve(cfg):
     """Single solve at the first coarse size and patch order of the config."""
-    cfg.validate()
     report, fine, u_ms = _sweep(cfg, cfg.coarse_n[:1], cfg.levels[:1])
-    if cfg.out:
-        _write(cfg.out, report.csv_text())
     if cfg.solution_out and u_ms is not None:
         full = fem.pad_full(fine, u_ms)
         lines = [f"{_fmt(x)} {_fmt(y)} {_fmt(v)}"
@@ -230,13 +217,9 @@ def _decay_node(cfg, coarse):
 def run_decay(cfg):
     """Tail norms of one global corrector at increasing radii."""
     cfg.validate()
-    fine = build_uniform_mesh(cfg.fine_n)
-    coeff = build_coefficient(cfg, fine)
-    ops = fem.build_operators(fine, coeff, rhs_function(cfg.rhs))
+    _, ops = _problem(cfg)
     coarse_n = max(cfg.coarse_n)  # the finest coarse mesh gives the most radii
-    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(cfg.fine_n // coarse_n)))
-    interp = interpolation.build_interpolation(hier)
+    hier, interp = _hierarchy(cfg, coarse_n)
     node = _decay_node(cfg, hier.coarse)
     phi = lod.solve_global_corrector(node, hier, ops, interp, cfg.tol)
 

@@ -13,8 +13,9 @@ its symmetric mode (minimum degree on A'+A, diagonal pivots), and the small
 dense Schur complement S = C A^-1 C' is Cholesky-factorized.  An
 unconstrained solve Ax = b is the case of C with zero rows (m = 0), in which
 A need not be symmetric and SuperLU's default pivoted ordering is used.  The
-kernel polishes with iterative refinement; it either meets the requested
-residual tolerance or raises SolverFailure carrying the achieved residual.
+kernel polishes with iterative refinement; one per-column acceptance test
+decides both which columns are refined and whether the solve succeeds, and a
+solve either passes it or raises SolverFailure carrying the achieved residual.
 Solves are pure functions of their inputs, so repeated or concurrent calls
 on shared immutable matrices are deterministic.
 """
@@ -110,25 +111,33 @@ class SaddleFactorization:
     def solve(self, b, tol=1e-10):
         """Solve for one right-hand side (n,) or a block of them (n, k).
 
-        Each column is refined until it meets the tolerance, at most
-        _REFINE_STEPS times, and checked on its own; any failing column
-        raises SolverFailure.  x and mu come back with b's number of columns.
+        A column is accepted when its stationarity residual is at most
+        tol ||b|| and its feasibility residual at most tol max(1, ||x||),
+        both finite.  The columns that fail this test are refined, at most
+        _REFINE_STEPS times; any column still failing raises SolverFailure.
+        x and mu come back with b's number of columns.
         """
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(f"shape mismatch: system size {self.n}, rhs {b.shape}")
         B = b.reshape(self.n, -1)
+        b_norm = np.linalg.norm(B, axis=0)
+
+        def rejected(x, stat, feas):
+            return ~(np.isfinite(stat) & np.isfinite(feas)) \
+                | (stat > tol * b_norm) \
+                | (feas > tol * np.maximum(1.0, np.linalg.norm(x, axis=0)))
+
         if self._dense is None:
             x, mu = self._apply(B, np.zeros((self.m, B.shape[1])))
-            target = tol * np.maximum(np.linalg.norm(B, axis=0), 1e-300)
             for step in range(_REFINE_STEPS + 1):
                 r, q, stat, feas = self._residual(B, x, mu)
-                open_cols = np.hypot(stat, feas) > target
-                if step == _REFINE_STEPS or not open_cols.any():
+                failed = rejected(x, stat, feas)
+                if step == _REFINE_STEPS or not failed.any():
                     break
-                dx, dmu = self._apply(r[:, open_cols], q[:, open_cols])
-                x[:, open_cols] += dx
-                mu[:, open_cols] += dmu
+                dx, dmu = self._apply(r[:, failed], q[:, failed])
+                x[:, failed] += dx
+                mu[:, failed] += dmu
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu))):
                 self._use_dense()
         if self._dense is not None:
@@ -136,12 +145,10 @@ class SaddleFactorization:
             z, *_ = np.linalg.lstsq(self._dense, rhs, rcond=None)
             x, mu = z[:self.n], z[self.n:]
             _, _, stat, feas = self._residual(B, x, mu)
+            failed = rejected(x, stat, feas)
 
-        failed = np.flatnonzero(
-            ~np.isfinite(stat) | (stat > tol * np.linalg.norm(B, axis=0))
-            | (feas > tol * np.maximum(1.0, np.linalg.norm(x, axis=0))))
-        if failed.size:
-            j = failed[0]
+        if failed.any():
+            j = np.flatnonzero(failed)[0]
             raise SolverFailure(
                 f"solve missed tolerance: stationarity {stat[j]:.3e}, "
                 f"feasibility {feas[j]:.3e}", residual=float(max(stat[j], feas[j])))

@@ -101,7 +101,6 @@ class MeshHierarchy:
     coarse: TriMesh
     fine: TriMesh
     children: np.ndarray      # (nt_coarse, 4**k) fine element ids, k refinements
-    vertex_embed: np.ndarray  # coarse vertex id -> fine vertex id
     prolongation: sparse.csr_matrix  # (nv_fine, n_coarse_interior)
 
     @cached_property
@@ -173,14 +172,15 @@ def node_star(mesh, a):
 
 
 def _locate_coarse_elements(coarse, points):
-    """Coarse element id containing each point (points off the diagonal)."""
+    """Coarse element of each point (the lower one on a square's diagonal)
+    and the point's offsets (fx, fy) in [0, 1] within its grid square."""
     nc = coarse.cells_per_side
     ix = np.clip(np.floor(points[:, 0] * nc).astype(np.int64), 0, nc - 1)
     iy = np.clip(np.floor(points[:, 1] * nc).astype(np.int64), 0, nc - 1)
     fx = points[:, 0] * nc - ix
     fy = points[:, 1] * nc - iy
     upper = fy > fx
-    return 2 * (iy * nc + ix) + upper.astype(np.int64)
+    return 2 * (iy * nc + ix) + upper.astype(np.int64), fx, fy
 
 
 def refine_hierarchy(coarse, levels):
@@ -193,14 +193,9 @@ def refine_hierarchy(coarse, levels):
     if not isinstance(levels, (int, np.integer)) or levels < 1:
         raise ValueError(f"invalid refinement level: need integer k >= 1, got {levels!r}")
     levels = int(levels)
-    nc = coarse.cells_per_side
-    m = 2 ** levels
-    fine = build_uniform_mesh(nc * m)
+    fine = build_uniform_mesh(coarse.cells_per_side * 2 ** levels)
 
-    ci, cj = np.meshgrid(np.arange(nc + 1), np.arange(nc + 1), indexing="xy")
-    vertex_embed = (cj.ravel() * m) * (nc * m + 1) + ci.ravel() * m
-
-    owner = _locate_coarse_elements(coarse, fine.element_centroids)
+    owner, _, _ = _locate_coarse_elements(coarse, fine.element_centroids)
     order = np.argsort(owner, kind="stable")
     per = 4 ** levels
     counts = np.bincount(owner, minlength=coarse.n_triangles)
@@ -208,39 +203,25 @@ def refine_hierarchy(coarse, levels):
         raise RuntimeError("refinement bookkeeping failed: uneven child counts")
     children = np.sort(order.reshape(coarse.n_triangles, per), axis=1)
 
-    prolongation = _build_prolongation(coarse, fine)
     return MeshHierarchy(
         coarse=coarse,
         fine=fine,
         children=children,
-        vertex_embed=vertex_embed,
-        prolongation=prolongation,
+        prolongation=_build_prolongation(coarse, fine),
     )
 
 
 def _build_prolongation(coarse, fine):
     """Evaluate every interior coarse hat at the fine vertices (exact)."""
-    nc = coarse.cells_per_side
-    pts = fine.vertices
-    ix = np.clip(np.floor(pts[:, 0] * nc).astype(np.int64), 0, nc - 1)
-    iy = np.clip(np.floor(pts[:, 1] * nc).astype(np.int64), 0, nc - 1)
-    fx = pts[:, 0] * nc - ix
-    fy = pts[:, 1] * nc - iy
-    v00 = iy * (nc + 1) + ix
-    v10 = v00 + 1
-    v01 = v00 + (nc + 1)
-    v11 = v01 + 1
-
-    lower = fy <= fx
-    cols = np.where(lower[:, None], np.column_stack([v00, v10, v11]),
-                    np.column_stack([v00, v11, v01]))
-    w_low = np.column_stack([1.0 - fx, fx - fy, fy])
-    w_up = np.column_stack([1.0 - fy, fx, fy - fx])
-    weights = np.where(lower[:, None], w_low, w_up)
+    element, fx, fy = _locate_coarse_elements(coarse, fine.vertices)
+    # barycentric weights in the vertex order of the lower and upper triangle
+    weights = np.where((fy <= fx)[:, None],
+                       np.column_stack([1.0 - fx, fx - fy, fy]),
+                       np.column_stack([1.0 - fy, fx, fy - fx]))
 
     rows = np.repeat(np.arange(fine.n_vertices), 3)
     full = sparse.csr_matrix(
-        (weights.ravel(), (rows, cols.ravel())),
+        (weights.ravel(), (rows, coarse.triangles[element].ravel())),
         shape=(fine.n_vertices, coarse.n_vertices),
     )
     full.eliminate_zeros()

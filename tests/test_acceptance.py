@@ -166,9 +166,8 @@ def test_criterion_4_localization_saturation():
             element_patch(hier, k, order).coarse_elements.size == nt
             for k in range(nt)))
 
-        global_set = assemble_corrector_set(hier, ops, interp, mode="global")
-        local_set = assemble_corrector_set(hier, ops, interp,
-                                           mode="localized", order=l_sat)
+        global_set = assemble_corrector_set(hier, ops, interp, order=None)
+        local_set = assemble_corrector_set(hier, ops, interp, order=l_sat)
         S = ops.stiffness_coeff
         for i in range(global_set.matrix.shape[0]):
             d = (global_set.matrix.getrow(i)

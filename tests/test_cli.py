@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -37,8 +39,10 @@ def configs(draw):
     return ExperimentConfig(
         fine_n=2 ** fine_power,
         coarse_n=tuple(2 ** q for q in draw(
-            st.lists(st.integers(1, fine_power - 1), min_size=1, max_size=4))),
-        levels=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))),
+            st.lists(st.integers(1, fine_power - 1), min_size=1, max_size=4,
+                     unique=True))),
+        levels=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4,
+                                   unique=True))),
         mode=draw(st.sampled_from(MODES)),
         rhs=draw(st.sampled_from(RHS_NAMES)),
         coeff_kind=draw(st.sampled_from(("constant", "periodic",
@@ -52,7 +56,8 @@ def configs(draw):
         tol=draw(st.floats(0.0, 1.0, exclude_min=True)),
         threads=draw(st.integers(1, 64)),
         timings=draw(st.sampled_from(TIMING_MODES)),
-        decay_factors=tuple(draw(st.lists(st.integers(2, 100), max_size=4))),
+        decay_factors=tuple(draw(st.lists(st.integers(2, 100), max_size=4,
+                                          unique=True))),
         decay_node=draw(st.one_of(st.just("center"),
                                   st.integers(0, 10 ** 6).map(str))),
         out=draw(_TEXT),
@@ -66,9 +71,10 @@ def _representable(text):
 
 @given(configs())
 def test_config_round_trip_property(c):
-    """A config with a text value the format cannot hold is a ConfigError;
-    every other config round-trips exactly."""
-    if not (_representable(c.out) and _representable(c.solution_out)):
+    """A config with a text value the format cannot hold or with unordered
+    decay factors is a ConfigError; every other config round-trips exactly."""
+    if not (_representable(c.out) and _representable(c.solution_out)
+            and list(c.decay_factors) == sorted(c.decay_factors)):
         with pytest.raises(ConfigError):
             c.validate()
         return
@@ -80,6 +86,13 @@ def test_config_round_trip_property(c):
 def test_config_rejects_text_that_cannot_round_trip(field, value):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**{field: value}).validate()
+
+
+def test_config_field_types_are_parseable():
+    """The parser reads each field by its annotation, so every annotation
+    must be one it handles; a bool field would parse "False" as True."""
+    for f in fields(ExperimentConfig):
+        assert f.type in (int, float, str, tuple), (f.name, f.type)
 
 
 def test_config_comments_and_overrides():
@@ -299,7 +312,13 @@ def test_cli_missing_config_file():
     ("decay", "fine_n = 16\ncoarse_n = 4\ndecay_node = 99999\n", []),
     ("coeff-export", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n",
      ["--out", "c.txt", "--threads", "0"]),
-], ids=["coeff_cell", "coeff_amplitude", "decay_node", "threads_zero"])
+    ("decay", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n"
+              "decay_factors = 3, 2\n", []),
+    ("convergence", "fine_n = 16\ncoarse_n = 4, 4\ncoeff_cell = 8\n", []),
+    ("convergence", "fine_n = 16\ncoarse_n = 4\nlevels = 1, 1\n"
+                    "coeff_cell = 8\n", []),
+], ids=["coeff_cell", "coeff_amplitude", "decay_node", "threads_zero",
+        "decay_factors_unordered", "coarse_n_repeated", "levels_repeated"])
 def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,
                                           command, text, flags):
     monkeypatch.chdir(tmp_path)

@@ -140,6 +140,32 @@ def test_saddle_rank_deficient_constraints(rng):
     np.testing.assert_allclose(x_dup, x_full, atol=1e-8)
 
 
+def test_refinement_fixes_columns_that_fail_acceptance(monkeypatch):
+    """Refinement targets the acceptance test itself: a column whose
+    feasibility misses tol * max(1, ||x||) is refined, even when its whole
+    residual is small next to tol * ||b||, and then accepted."""
+    A = csr(1e6 * np.eye(4))
+    C = csr([[1.0, 0.0, 0.0, 0.0]])
+    b = np.full(4, 5e5)  # ||b|| = 1e6 while ||x|| < 1
+    fact = SaddleFactorization(A, C)
+    apply, calls = fact._apply, []
+
+    def first_step_off_the_constraint(r, q):
+        x, mu = apply(r, q)
+        if not calls:
+            # move x off C x = 0 by 1e-6 and keep A x + C'mu unchanged
+            x[0] += 1e-6
+            mu[0] -= 1.0
+        calls.append(r.shape[1])
+        return x, mu
+
+    monkeypatch.setattr(fact, "_apply", first_step_off_the_constraint)
+    x, mu = fact.solve(b, tol=1e-10)
+    assert calls == [1, 1]
+    assert abs(x[0]) <= 1e-10
+    np.testing.assert_allclose(x[1:], 0.5, rtol=1e-12)
+
+
 def test_saddle_deterministic(rng):
     A = csr(random_spd(rng, 15))
     C = csr(rng.standard_normal((4, 15)))

@@ -105,8 +105,8 @@ def test_corrector_rejects_boundary_node(problem):
 
 def test_corrector_set_satisfies_constraints(problem):
     hier, ops, interp = problem
-    for mode, order in (("global", None), ("localized", 2)):
-        cs = assemble_corrector_set(hier, ops, interp, mode=mode, order=order)
+    for order in (None, 2):
+        cs = assemble_corrector_set(hier, ops, interp, order=order)
         for i in range(cs.matrix.shape[0]):
             phi = cs.matrix.getrow(i).toarray().ravel()
             assert np.linalg.norm(interp.matrix @ phi) <= 1e-9
@@ -139,7 +139,7 @@ def test_local_correctors_sum_to_global_at_saturation(problem):
 
 def test_assemble_matches_manual_star_sums(problem):
     hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, mode="localized", order=1)
+    cs = assemble_corrector_set(hier, ops, interp, order=1)
     node = int(hier.coarse.interior_vertices[4])
     star = node_star(hier.coarse, node)
     assert star.size == 6
@@ -152,11 +152,10 @@ def test_assemble_matches_manual_star_sums(problem):
 
 def test_localized_truncation_decreases_with_order(problem):
     hier, ops, interp = problem
-    gs = assemble_corrector_set(hier, ops, interp, mode="global")
+    gs = assemble_corrector_set(hier, ops, interp, order=None)
     errors = []
     for order in (1, 2, 3):
-        ls = assemble_corrector_set(hier, ops, interp, mode="localized",
-                                    order=order)
+        ls = assemble_corrector_set(hier, ops, interp, order=order)
         diff = (gs.matrix - ls.matrix).toarray()
         errors.append(max(energy(ops, diff[i]) for i in range(diff.shape[0])))
     assert errors[0] >= errors[1] >= errors[2]
@@ -164,10 +163,8 @@ def test_localized_truncation_decreases_with_order(problem):
 
 def test_threaded_assembly_bit_identical(problem):
     hier, ops, interp = problem
-    serial = assemble_corrector_set(hier, ops, interp, mode="localized",
-                                    order=2, threads=1)
-    threaded = assemble_corrector_set(hier, ops, interp, mode="localized",
-                                      order=2, threads=4)
+    serial = assemble_corrector_set(hier, ops, interp, order=2, threads=1)
+    threaded = assemble_corrector_set(hier, ops, interp, order=2, threads=4)
     assert (serial.matrix != threaded.matrix).nnz == 0
 
 
@@ -183,8 +180,8 @@ def test_localized_correctors_in_kernel_and_thread_independent(
     coeff = make_checkerboard(16, 10.0 ** log_contrast, seed, hier.fine)
     ops = build_operators(hier.fine, coeff, lambda x, y: x)
     serial, threaded = (
-        assemble_corrector_set(hier, ops, interp, mode="localized",
-                               order=order, threads=threads).matrix
+        assemble_corrector_set(hier, ops, interp, order=order,
+                               threads=threads).matrix
         for threads in (1, 2))
     phi = serial.toarray()
     assert np.all(np.linalg.norm(phi @ interp.matrix.T.toarray(), axis=1)
@@ -197,7 +194,7 @@ def test_multiscale_zero_rhs(problem):
     hier, ops, interp = problem
     zero_ops = build_operators(hier.fine, ops.coeff,
                                lambda x, y: np.zeros_like(x))
-    cs = assemble_corrector_set(hier, zero_ops, interp, mode="global")
+    cs = assemble_corrector_set(hier, zero_ops, interp, order=None)
     space = build_multiscale_space(hier, zero_ops, cs)
     coeffs, fine = solve_multiscale(space)
     assert np.all(coeffs == 0) and np.all(fine == 0)
@@ -205,7 +202,7 @@ def test_multiscale_zero_rhs(problem):
 
 def test_multiscale_galerkin_residual(problem):
     hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, mode="global")
+    cs = assemble_corrector_set(hier, ops, interp, order=None)
     space = build_multiscale_space(hier, ops, cs)
     coeffs, fine = solve_multiscale(space)
     residual = space.gram @ coeffs - space.load
@@ -217,7 +214,7 @@ def test_multiscale_galerkin_residual(problem):
 
 def test_orthogonal_splitting(problem, rng):
     hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, mode="global")
+    cs = assemble_corrector_set(hier, ops, interp, order=None)
     space = build_multiscale_space(hier, ops, cs)
     P = hier.prolongation_interior
     C = interp.matrix
@@ -234,13 +231,12 @@ def test_orthogonal_splitting(problem, rng):
 
 def test_localized_solution_converges_to_global(problem):
     hier, ops, interp = problem
-    gs = assemble_corrector_set(hier, ops, interp, mode="global")
+    gs = assemble_corrector_set(hier, ops, interp, order=None)
     _, u_global = solve_multiscale(build_multiscale_space(hier, ops, gs))
     l_sat = saturation_order(hier)
     dist = []
     for order in (1, l_sat):
-        ls = assemble_corrector_set(hier, ops, interp, mode="localized",
-                                    order=order)
+        ls = assemble_corrector_set(hier, ops, interp, order=order)
         _, u_loc = solve_multiscale(build_multiscale_space(hier, ops, ls))
         dist.append(energy(ops, u_loc - u_global))
     assert dist[-1] <= 1e-8
@@ -251,7 +247,7 @@ def test_petrov_galerkin_with_global_correctors(problem):
     # with global correctors a(b_a, hat_b) = a(b_a, b_b) exactly, so the two
     # coarse systems share their matrix and differ only through the load
     hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, mode="global")
+    cs = assemble_corrector_set(hier, ops, interp, order=None)
     space = build_multiscale_space(hier, ops, cs)
     np.testing.assert_allclose(space.gram_pg.toarray(), space.gram.toarray(),
                                atol=1e-10)
@@ -276,7 +272,7 @@ def test_multiscale_convergence_with_global_correctors():
         hier = refine_hierarchy(build_uniform_mesh(nc),
                                 int(np.log2(32 // nc)))
         interp = build_interpolation(hier)
-        cs = assemble_corrector_set(hier, ops, interp, mode="global")
+        cs = assemble_corrector_set(hier, ops, interp, order=None)
         _, u_ms = solve_multiscale(build_multiscale_space(hier, ops, cs))
         errors.append(error_norms(u_ms, u_ref, ops)[1])
     assert np.log2(errors[0] / errors[1]) >= 0.9
@@ -284,7 +280,7 @@ def test_multiscale_convergence_with_global_correctors():
 
 def test_localized_correctors_vanish_outside_patch_union(problem):
     hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, mode="localized", order=1)
+    cs = assemble_corrector_set(hier, ops, interp, order=1)
     for node in hier.coarse.interior_vertices:
         allowed = set()
         for element in node_star(hier.coarse, int(node)):
