@@ -26,7 +26,8 @@ class AssembledOperators:
     load: np.ndarray
 
 
-def _coeff_values(mesh, coeff):
+def coefficient_values(mesh, coeff):
+    """Diffusion value per element of `mesh` (ones for the unit coefficient)."""
     if coeff is None:
         return np.ones(mesh.n_triangles)
     values = np.asarray(coeff.values, dtype=float)
@@ -48,7 +49,7 @@ def assemble_stiffness(mesh, coeff=None, interior=True):
     With interior=True (default) Dirichlet rows and columns are removed via
     the mesh dof map; interior=False returns the full singular matrix.
     """
-    values = _coeff_values(mesh, coeff)
+    values = coefficient_values(mesh, coeff)
     gx, gy = mesh.element_gradients
     w = values * mesh.element_areas
     local = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
@@ -100,20 +101,27 @@ def apply_subset_stiffness(mesh, coeff, elements, vec_full):
     Realizes the element-restricted bilinear form a_K(., .) without building
     the subset matrix.  `vec_full` is one vector (nv,) or a block (nv, k);
     each column of a block gives the same bits as its single-vector call.
+    `elements` is one index array (E,) or a batch (P, E) of them, whose
+    results stack along a leading axis of length P.
     """
-    values = _coeff_values(mesh, coeff)[elements]
+    values = coefficient_values(mesh, coeff)[elements]
     gx, gy = mesh.element_gradients
-    gx, gy = gx[elements][:, :, None], gy[elements][:, :, None]
+    gx, gy = gx[elements][..., None], gy[elements][..., None]
     tri = mesh.triangles[elements]
     block = vec_full.reshape(mesh.n_vertices, -1)
     vloc = block[tri]
-    weight = (values * mesh.element_areas[elements])[:, None]
-    qx = weight * (gx * vloc).sum(axis=1)
-    qy = weight * (gy * vloc).sum(axis=1)
-    contrib = gx * qx[:, None] + gy * qy[:, None]
-    out = np.zeros(block.shape)
-    np.add.at(out, tri.ravel(), contrib.reshape(-1, block.shape[1]))
-    return out.reshape(vec_full.shape)
+    weight = (values * mesh.element_areas[elements])[..., None]
+    qx = weight * (gx * vloc).sum(axis=-2)
+    qy = weight * (gy * vloc).sum(axis=-2)
+    contrib = gx * qx[..., None, :] + gy * qy[..., None, :]
+    batch = tri.shape[:-2]
+    out = np.zeros((*batch, *block.shape))
+    # entry (p, v) of the batch lies at row p * nv + v of the flattened result
+    offset = mesh.n_vertices * np.arange(out.size // block.size)
+    np.add.at(out.reshape(-1, block.shape[1]),
+              (tri + offset.reshape(*batch, 1, 1)).ravel(),
+              contrib.reshape(-1, block.shape[1]))
+    return out.reshape(*batch, *vec_full.shape)
 
 
 def subset_l2_sq(mesh, elements, vec_full):

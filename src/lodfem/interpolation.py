@@ -74,72 +74,3 @@ def build_interpolation(hierarchy):
         denominators=denominators,
         coarse_size=H,
     )
-
-
-def _smooth_samples(hierarchy, rng, count):
-    """Random low-frequency combinations, zero on the boundary."""
-    pts = hierarchy.fine.vertices
-    out = []
-    for _ in range(count):
-        v = np.zeros(hierarchy.fine.n_vertices)
-        for p in range(1, 4):
-            for q in range(1, 4):
-                c = rng.standard_normal() / (p * p + q * q)
-                v += c * np.sin(np.pi * p * pts[:, 0]) * np.sin(np.pi * q * pts[:, 1])
-        out.append(v)
-    return out
-
-
-def _rough_samples(hierarchy, rng, count):
-    out = []
-    for _ in range(count):
-        v = np.zeros(hierarchy.fine.n_vertices)
-        v[hierarchy.fine.interior_vertices] = rng.standard_normal(
-            hierarchy.fine.n_interior)
-        out.append(v)
-    return out
-
-
-def measure_constants(hierarchy, op, trials, seed=0):
-    """Empirical stability and approximation constants of the operator.
-
-    Over `trials` random smooth plus `trials` random rough fine functions,
-    returns the max over coarse elements K of
-
-        |interp(v)|_{L2(K)} / |v|_{H1(w_K)}   (stability)
-        |v - interp(v)|_{L2(K)} / (H |v|_{H1(w_K)})   (approximation)
-
-    where w_K is the one-ring element neighborhood of K.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    fine = hierarchy.fine
-    coarse = hierarchy.coarse
-    rng = np.random.default_rng(seed)
-    samples = _smooth_samples(hierarchy, rng, trials) + \
-        _rough_samples(hierarchy, rng, trials)
-
-    adj = coarse.element_adjacency
-    neighborhoods = [
-        np.sort(hierarchy.children[adj[k].indices].ravel())
-        for k in range(coarse.n_triangles)
-    ]
-    areas = coarse.element_areas
-
-    stability = 0.0
-    approximation = 0.0
-    for v in samples:
-        cvals = np.zeros(coarse.n_vertices)
-        cvals[coarse.interior_vertices] = op.matrix_full @ v
-        residual = v - hierarchy.prolongation @ (op.matrix_full @ v)
-        for k in range(coarse.n_triangles):
-            h1 = np.sqrt(fem.subset_h1_sq(fine, neighborhoods[k], v))
-            if h1 == 0.0:
-                continue
-            ck = cvals[coarse.triangles[k]]
-            s, q = ck.sum(), (ck * ck).sum()
-            interp_l2 = np.sqrt(areas[k] / 12.0 * (s * s + q))
-            res_l2 = np.sqrt(fem.subset_l2_sq(fine, hierarchy.children[k], residual))
-            stability = max(stability, interp_l2 / h1)
-            approximation = max(approximation, res_l2 / (op.coarse_size * h1))
-    return stability, approximation

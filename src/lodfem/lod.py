@@ -9,27 +9,52 @@ corrector exactly.  Subtracting correctors from the prolonged hats yields
 the multiscale basis whose Galerkin (or Petrov-Galerkin) solve is the
 method's output.
 
-Every corrector comes from one patch solve: the patch stiffness is
-factorized once, with the small Schur complement of the patch's
-interpolation constraints, and all of its right-hand sides are solved as one
-block.  A patch order k solves one order-k patch per coarse element, a
-column per interior vertex of the element; the global correctors are the
-unbounded patch (order None), one whole-domain solve with a column per
-interior node.  The (coarse dof, patch dofs, values) triplets are summed in
-ascending element order into the corrector matrix, built once, so outputs
-are bit-identical at any thread count of the localized solves.
+A patch order k solves one order-k patch per coarse element, a column per
+interior vertex of the element.  On the structured lattice the patches fall
+into classes of translates (mesh.patch_classes); each class gets a template
+from one representative patch: its fine dofs, its nonzero constraint rows,
+the sparsity of its stiffness and constraint blocks, and the unit-coefficient
+right-hand side of each child element.  A member's blocks are gathered from
+the CSR data of the fine stiffness and the quasi-interpolation at the
+member's lattice offset, and its right-hand side is the template's weighted
+by the coefficient on its children.  Classes of at most _DENSE_MAX_DOFS
+dofs are solved as dense stacks of up to _STACK_BYTES of stiffness, Cholesky
+for each patch and its Schur complement; a stack that fails is re-solved one
+patch at a time.  Larger classes, and those re-solves, get one sparse
+SuperLU factorization per patch.  The global correctors are the unbounded
+patch (order None), one whole-domain solve with a column per interior node.
+The (coarse dof, patch dofs, values) triplets are summed in ascending element
+order into the corrector matrix, built once, so outputs are bit-identical at
+any thread count of the localized solves.
+
+The coarse matrices B'SB and P'SB are dense products when SB = S B is
+dense (as with the global correctors), and sparse ones otherwise.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import LinAlgError
 
 from . import fem
 from .linalg import SaddleFactorization, SolverFailure, spd_solve
-from .mesh import element_patch
+from .mesh import element_patch, patch_classes
+
+# Patches of up to this many fine dofs are solved as dense stacks, larger
+# ones by SuperLU.  On one core both take about 2.1 ms per patch at 290
+# dofs; the dense stack is 4.5x faster at 87 dofs and SuperLU 7x faster at
+# 1125.
+_DENSE_MAX_DOFS = 300
+# SB = S B is densified for the coarse products from this density on, where
+# its dense copy takes no more memory than its CSR form (8 against 12 bytes
+# per stored entry).
+_DENSE_PRODUCT_DENSITY = 2 / 3
+# Patch stiffness bytes per dense stack.  On patch-small, stacks of 8 and 16
+# MiB raised peak RSS by 11% and 30% and saved no time.
+_STACK_BYTES = 2 ** 21
 
 
 @dataclass(eq=False)
@@ -50,16 +75,13 @@ class MultiscaleSpace:
     load_pg: np.ndarray          # (f, hat_a)
 
 
-def _solve_patch(ops, interp, dofs, rows, rhs, tol, where):
-    """Corrector block on the fine interior `dofs` of one patch.
+def _solve_patch(A, C, rhs, tol, where):
+    """Corrector block of one patch with stiffness A and constraints C.
 
     Each column x of the result minimizes a(x, x)/2 - (rhs, x) over the
-    patch, subject to the quasi-interpolation rows `rows` vanishing on x.
-    One factorization serves all columns of `rhs` (len(dofs), k).
+    patch, subject to C x = 0.  One factorization serves all columns of
+    `rhs` (n, k).
     """
-    A = ops.stiffness_coeff[dofs][:, dofs]
-    C = interp.matrix[rows][:, dofs]
-    C = C[np.flatnonzero(np.diff(C.indptr))]  # all-zero rows constrain nothing
     try:
         x, _ = SaddleFactorization(A, C).solve(rhs, tol)
     except SolverFailure as exc:
@@ -70,29 +92,197 @@ def _solve_patch(ops, interp, dofs, rows, rhs, tol, where):
 def _global_correctors(hierarchy, ops, interp, nodes, tol, where):
     """Whole-domain correctors of the coarse interior dofs `nodes` (columns)."""
     rhs = (ops.stiffness_coeff @ hierarchy.prolongation_interior[:, nodes]).toarray()
-    return _solve_patch(ops, interp, np.arange(hierarchy.fine.n_interior),
-                        np.arange(hierarchy.coarse.n_interior), rhs, tol, where)
+    return _solve_patch(ops.stiffness_coeff, interp.matrix, rhs, tol, where)
 
 
-def _element_correctors(hierarchy, ops, interp, element, order, tol):
-    """Contributions seeded at one coarse element, as (nodes, dofs, x).
+class _Entries:
+    """Values of a CSR matrix's stored entries, looked up by position."""
 
-    x holds one column per coarse interior dof in `nodes` (the element's, in
-    ascending order) on the fine interior `dofs` of the element's patch; its
-    right-hand side is the hat's stiffness on the element's children only.
+    def __init__(self, matrix):
+        if not matrix.has_canonical_format:
+            matrix = matrix.copy()
+            matrix.sum_duplicates()
+        self.data, self.width = matrix.data, matrix.shape[1]
+        self.keys = _entry_rows(matrix) * self.width + matrix.indices
+
+    def values(self, rows, cols):
+        """Stored values at (rows, cols); each must be a stored entry."""
+        wanted = rows * self.width + cols
+        at = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
+        if not np.array_equal(self.keys[at], wanted):
+            raise RuntimeError("patch entry outside the matrix pattern")
+        return self.data[at]
+
+
+def _entry_rows(matrix):
+    """Row index of each stored entry of a CSR matrix or pattern."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+
+
+@dataclass(eq=False)
+class _Pattern:
+    """Where a patch block stores its entries, in CSR layout."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def matrix(self, data):
+        return sparse.csr_matrix((data, self.indices, self.indptr),
+                                 shape=self.shape)
+
+
+@dataclass(eq=False)
+class _PatchTemplate:
+    """The corrector problem of one patch class, set up from its member
+    `element`; another member's dofs, rows and nodes are these plus the
+    difference of the two members' lattice offsets."""
+
+    element: int
+    dofs: np.ndarray       # (n,) fine interior dofs of the patch
+    rows: np.ndarray       # (m,) coarse interior dofs of the nonzero constraint rows
+    nodes: np.ndarray      # (k,) coarse interior dofs of the element, ascending
+    A: _Pattern            # (n, n) patch stiffness
+    C: _Pattern            # (m, n) constraint block
+    # Right-hand side at unit coefficient: for each (child element, interior
+    # child vertex) pair, its child, its patch position and its k values.
+    rhs_child: np.ndarray  # (q,)
+    rhs_at: np.ndarray     # (q,)
+    rhs: np.ndarray        # (q, k)
+
+
+class _PatchSolver:
+    """Localized corrector blocks of coarse elements, solved by patch class."""
+
+    def __init__(self, hierarchy, ops, interp, order, tol):
+        self.hierarchy, self.ops, self.interp = hierarchy, ops, interp
+        self.order, self.tol = order, tol
+        self.labels, self.fine_offset, self.coarse_offset = patch_classes(
+            hierarchy, order)
+        self.stiffness = _Entries(ops.stiffness_coeff)
+        self.constraints = _Entries(interp.matrix)
+        self.coeff = fem.coefficient_values(hierarchy.fine, ops.coeff)
+        self.element_classes = patch_classes(hierarchy, 0)[0]
+        self._children_rhs_cache = {}
+
+    def stacks(self, elements):
+        """(template, members) pairs that cover `elements`, class by class."""
+        for label in np.unique(self.labels[elements]):
+            members = elements[self.labels[elements] == label]
+            template = self._template(int(np.flatnonzero(self.labels == label)[0]))
+            n = template.dofs.size
+            size = max(1, _STACK_BYTES // (8 * n * n))
+            for i in range(0, members.size, size):
+                yield template, members[i:i + size]
+
+    def _template(self, element):
+        """The template of `element`'s class, from `element`'s own patch."""
+        hierarchy, coarse, fine = self.hierarchy, self.hierarchy.coarse, \
+            self.hierarchy.fine
+        patch = element_patch(hierarchy, element, self.order)
+        dofs = patch.fine_interior_dofs
+        nodes = np.sort(coarse.interior_index[coarse.triangles[element]])
+        nodes = nodes[nodes >= 0]
+        rows = coarse.interior_index[patch.active_coarse_nodes]
+        C = self.interp.matrix[rows][:, dofs]
+        nonzero = np.flatnonzero(np.diff(C.indptr))  # empty rows constrain nothing
+        C = C[nonzero]
+        A = self.ops.stiffness_coeff[dofs][:, dofs]
+        corners = fine.triangles[hierarchy.children[element]]
+        inside = ~fine.boundary_flags[corners]
+        return _PatchTemplate(
+            element=element, dofs=dofs, rows=rows[nonzero], nodes=nodes,
+            A=_Pattern(A.shape, A.indptr, A.indices),
+            C=_Pattern(C.shape, C.indptr, C.indices),
+            rhs_child=np.nonzero(inside)[0],
+            rhs_at=np.searchsorted(dofs, fine.interior_index[corners[inside]]),
+            rhs=self._children_rhs(element)[inside])
+
+    def _children_rhs(self, element):
+        """Each child's unit-coefficient rhs at its vertices, (children, 3,
+        k); the same for every translate of the element itself (its order-0
+        class), so it is computed once per such class."""
+        label = self.element_classes[element]
+        if label not in self._children_rhs_cache:
+            hierarchy, fine = self.hierarchy, self.hierarchy.fine
+            first = int(np.flatnonzero(self.element_classes == label)[0])
+            nodes = hierarchy.coarse.interior_index[
+                hierarchy.coarse.triangles[first]]
+            hats = hierarchy.prolongation[:, np.sort(nodes[nodes >= 0])].toarray()
+            # one child per batch entry, each result over all fine vertices,
+            # so the batches are cut to the stack budget
+            children = hierarchy.children[first]
+            size = max(1, _STACK_BYTES // hats.nbytes)
+            self._children_rhs_cache[label] = np.concatenate([
+                fem.apply_subset_stiffness(fine, None, batch[:, None], hats)[
+                    np.arange(batch.size)[:, None], fine.triangles[batch]]
+                for batch in np.split(children, range(size, children.size, size))])
+        return self._children_rhs_cache[label]
+
+    def gather(self, stack):
+        """The members' (dofs, rows, nodes, a, c, rhs): their patch dofs,
+        constraint rows and element nodes (one row each), the values of the
+        template's A and C patterns, and the right-hand sides (P, n, k)."""
+        t, members = stack
+        shift = (self.fine_offset[members] - self.fine_offset[t.element])[:, None]
+        coarse_shift = (self.coarse_offset[members]
+                        - self.coarse_offset[t.element])[:, None]
+        dofs, rows = t.dofs + shift, t.rows + coarse_shift
+        a = self.stiffness.values(dofs[:, _entry_rows(t.A)], dofs[:, t.A.indices])
+        c = self.constraints.values(rows[:, _entry_rows(t.C)],
+                                    dofs[:, t.C.indices])
+        weights = self.coeff[self.hierarchy.children[members]][:, t.rhs_child]
+        rhs = np.zeros((members.size, t.dofs.size, t.nodes.size))
+        np.add.at(rhs, (slice(None), t.rhs_at), weights[:, :, None] * t.rhs)
+        return dofs, rows, t.nodes + coarse_shift, a, c, rhs
+
+    def solve(self, stack):
+        """(element, nodes, dofs, x) of each member of one stack."""
+        t, members = stack
+        dofs, _, nodes, a, c, rhs = self.gather(stack)
+        x = None
+        if t.dofs.size <= _DENSE_MAX_DOFS:
+            A = np.zeros((members.size, *t.A.shape))
+            A[:, _entry_rows(t.A), t.A.indices] = a
+            C = np.zeros((members.size, *t.C.shape))
+            C[:, _entry_rows(t.C), t.C.indices] = c
+            try:
+                x, _ = SaddleFactorization(A, C).solve(rhs, self.tol)
+            except (LinAlgError, SolverFailure):
+                pass  # re-solved one patch at a time, with explicit failures
+        if x is None:
+            x = [_solve_patch(t.A.matrix(a[p]), t.C.matrix(c[p]), rhs[p], self.tol,
+                              f"corrector patch of element {element}")
+                 for p, element in enumerate(members)]
+        return [(element, nodes[p], dofs[p], x[p])
+                for p, element in enumerate(members)]
+
+
+def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
+    """(nodes, dofs, x) of every element's patch, in ascending element order.
+
+    The patch solver and its lookup tables are gone when this returns, so
+    the merge that follows does not hold them.
     """
-    coarse, fine = hierarchy.coarse, hierarchy.fine
-    nodes = np.sort(coarse.interior_index[coarse.triangles[element]])
-    nodes = nodes[nodes >= 0]
-    patch = element_patch(hierarchy, element, order)
-    dofs = patch.fine_interior_dofs
-    hats = hierarchy.prolongation[:, nodes].toarray()
-    b = fem.apply_subset_stiffness(fine, ops.coeff, hierarchy.children[element], hats)
-    x = _solve_patch(ops, interp, dofs,
-                     coarse.interior_index[patch.active_coarse_nodes],
-                     b[fine.interior_vertices[dofs]], tol,
-                     f"corrector patch of element {element}")
-    return nodes, dofs, x
+    coarse = hierarchy.coarse
+    # elements with only boundary vertices seed no corrector
+    seeds = np.flatnonzero(
+        (coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
+    solver = _PatchSolver(hierarchy, ops, interp, order, tol)
+    stacks = solver.stacks(seeds)
+    # Templates are built as the stacks are drawn, so the pool takes them a
+    # window at a time: drawn all at once they raised patch-large's peak RSS
+    # by about 2%.  One thread stays off the pool: a 1-worker pool raised
+    # patch-small's by about 6%, most likely from the worker's malloc arena.
+    if threads > 1:
+        solved = []
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            while window := list(islice(stacks, 16 * threads)):
+                solved += pool.map(solver.solve, window)
+    else:
+        solved = list(map(solver.solve, stacks))
+    return [block[1:] for block in sorted(chain.from_iterable(solved),
+                                          key=lambda block: block[0])]
 
 
 def _merge(blocks, shape):
@@ -148,18 +338,7 @@ def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
         blocks = [(nodes, np.arange(shape[1]), _global_correctors(
             hierarchy, ops, interp, nodes, tol, "global correctors"))]
     else:
-        # elements with only boundary vertices seed no corrector
-        seeds = np.flatnonzero(
-            (coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
-        solve = partial(_element_correctors, hierarchy, ops, interp,
-                        order=order, tol=tol)
-        # One thread stays off the pool: a 1-worker pool raised patch-small's
-        # peak RSS by about 6%, most likely from the worker's malloc arena.
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                blocks = list(pool.map(solve, seeds))
-        else:
-            blocks = list(map(solve, seeds))
+        blocks = _localized_blocks(hierarchy, ops, interp, order, tol, threads)
     return CorrectorSet(matrix=_merge(blocks, shape))
 
 
@@ -167,14 +346,13 @@ def build_multiscale_space(hierarchy, ops, correctors):
     """Modified basis b_a = hat_a - phi_a and its coarse systems."""
     P = hierarchy.prolongation_interior
     B = (P - correctors.matrix.T).tocsr()
-    S = ops.stiffness_coeff
-    SB = S @ B
-    gram = (B.T @ SB).tocsr()
-    gram_pg = (P.T @ SB).tocsr()
+    SB = ops.stiffness_coeff @ B
+    if SB.nnz >= _DENSE_PRODUCT_DENSITY * SB.shape[0] * SB.shape[1]:
+        SB = SB.toarray()  # the products with it are bit-equal and faster
     return MultiscaleSpace(
         basis=B,
-        gram=gram,
-        gram_pg=gram_pg,
+        gram=sparse.csr_matrix(B.T @ SB),
+        gram_pg=sparse.csr_matrix(P.T @ SB),
         load=B.T @ ops.load,
         load_pg=P.T @ ops.load,
     )
@@ -221,24 +399,3 @@ def measure_corrector_decay(hierarchy, node, phi, radii):
             tails.append((float(R), float(np.sqrt(
                 fem.subset_h1_sq(fine, outside, phi_full)))))
     return tails
-
-
-def fit_decay(radii, tails, spacing):
-    """Least-squares slope and R^2 of log(tail) against radius/spacing.
-
-    Zero tails (radii beyond the domain) carry no decay information and are
-    dropped; at least three positive tails are required.
-    """
-    radii = np.asarray(radii, dtype=float)
-    tails = np.asarray(tails, dtype=float)
-    keep = tails > 0
-    if keep.sum() < 3:
-        raise ValueError("need at least three positive tails to fit a decay rate")
-    x = radii[keep] / spacing
-    y = np.log(tails[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(((y - fitted) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), float(r2)

@@ -73,16 +73,6 @@ class TriMesh:
         return np.bincount(self.triangles.ravel(), minlength=self.n_vertices)
 
     @cached_property
-    def _vertex_to_elements(self):
-        """CSR-style (offsets, elems): elements incident to each vertex, sorted."""
-        tri = self.triangles
-        elems = np.repeat(np.arange(self.n_triangles), 3)
-        order = np.argsort(tri.ravel(), kind="stable")
-        offsets = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.cumsum(self.vertex_element_count, out=offsets[1:])
-        return offsets, elems[order]
-
-    @cached_property
     def element_adjacency(self):
         """Boolean element-to-element adjacency through shared vertices."""
         nt, nv = self.n_triangles, self.n_vertices
@@ -161,14 +151,6 @@ def build_uniform_mesh(n):
         mesh_size=mesh_size,
         cells_per_side=n,
     )
-
-
-def node_star(mesh, a):
-    """Element ids of all triangles having vertex a (the star of a)."""
-    if not isinstance(a, (int, np.integer)) or a < 0 or a >= mesh.n_vertices:
-        raise IndexError(f"vertex {a!r} not in mesh with {mesh.n_vertices} vertices")
-    offsets, elems = mesh._vertex_to_elements
-    return np.sort(elems[offsets[a]:offsets[a + 1]])
 
 
 def _locate_coarse_elements(coarse, points):
@@ -261,3 +243,28 @@ def element_patch(hierarchy, element, order):
         fine_interior_dofs=fine_interior_dofs,
         active_coarse_nodes=active,
     )
+
+
+def patch_classes(hierarchy, order):
+    """Translation classes of the order-`order` element patches.
+
+    Two coarse elements share a class when their patches, clipped to the
+    domain, are lattice translates of each other; their fine interior dofs,
+    constraint rows and element vertices then differ by constant offsets.
+    Returns, per coarse element, its class label and the fine and coarse
+    interior dof offsets of its grid square, so that a member's dofs are a
+    representative's plus the difference of their offsets.
+    """
+    coarse, fine = hierarchy.coarse, hierarchy.fine
+    nc, nf = coarse.cells_per_side, fine.cells_per_side
+    square, upper = np.divmod(np.arange(coarse.n_triangles), 2)
+    iy, ix = np.divmod(square, nc)
+    # A patch spans `order` squares on each side of its element: from a
+    # distance of order + 1 squares on, it neither meets nor touches that
+    # side of the boundary, so larger distances share one class.
+    key = np.column_stack([upper] + [np.minimum(d, order + 1) for d in
+                                     (ix, nc - 1 - ix, iy, nc - 1 - iy)])
+    _, labels = np.unique(key, axis=0, return_inverse=True)
+    refine = nf // nc
+    return (labels.ravel(), refine * (iy * (nf - 1) + ix),
+            iy * (nc - 1) + ix)

@@ -1,11 +1,15 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent brute-force oracles and test-side measurements.
 
-Everything here recomputes quantities from first principles (plane fits for
+The oracles recompute quantities from first principles (plane fits for
 gradients, pointwise quadrature, dense linear algebra) without touching the
 package's assembly routines, so matches against these values are meaningful.
+The measurements at the end (node stars, empirical interpolation constants,
+decay-rate fits) are analysis helpers that only the tests use.
 """
 
 import numpy as np
+
+from lodfem import fem
 
 # Degree-5 Gauss rule on the reference triangle (barycentric points, weights
 # summing to 1).
@@ -199,3 +203,100 @@ def error_vs_function(mesh, u_full, u_exact, grad_exact):
             gx, gy = grad_exact(m[0], m[1])
             semi_sq += area / 3.0 * ((grad_uh[0] - gx) ** 2 + (grad_uh[1] - gy) ** 2)
     return np.sqrt(l2_sq), np.sqrt(l2_sq + semi_sq)
+
+
+def node_star(mesh, a):
+    """Element ids of all triangles having vertex a (the star of a)."""
+    if not isinstance(a, (int, np.integer)) or a < 0 or a >= mesh.n_vertices:
+        raise IndexError(f"vertex {a!r} not in mesh with {mesh.n_vertices} vertices")
+    return np.flatnonzero((mesh.triangles == a).any(axis=1))
+
+
+def _smooth_samples(hierarchy, rng, count):
+    """Random low-frequency combinations, zero on the boundary."""
+    pts = hierarchy.fine.vertices
+    out = []
+    for _ in range(count):
+        v = np.zeros(hierarchy.fine.n_vertices)
+        for p in range(1, 4):
+            for q in range(1, 4):
+                c = rng.standard_normal() / (p * p + q * q)
+                v += c * np.sin(np.pi * p * pts[:, 0]) * np.sin(np.pi * q * pts[:, 1])
+        out.append(v)
+    return out
+
+
+def _rough_samples(hierarchy, rng, count):
+    out = []
+    for _ in range(count):
+        v = np.zeros(hierarchy.fine.n_vertices)
+        v[hierarchy.fine.interior_vertices] = rng.standard_normal(
+            hierarchy.fine.n_interior)
+        out.append(v)
+    return out
+
+
+def measure_constants(hierarchy, op, trials, seed=0):
+    """Empirical stability and approximation constants of the operator.
+
+    Over `trials` random smooth plus `trials` random rough fine functions,
+    returns the max over coarse elements K of
+
+        |interp(v)|_{L2(K)} / |v|_{H1(w_K)}   (stability)
+        |v - interp(v)|_{L2(K)} / (H |v|_{H1(w_K)})   (approximation)
+
+    where w_K is the one-ring element neighborhood of K.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    fine = hierarchy.fine
+    coarse = hierarchy.coarse
+    rng = np.random.default_rng(seed)
+    samples = _smooth_samples(hierarchy, rng, trials) + \
+        _rough_samples(hierarchy, rng, trials)
+
+    adj = coarse.element_adjacency
+    neighborhoods = [
+        np.sort(hierarchy.children[adj[k].indices].ravel())
+        for k in range(coarse.n_triangles)
+    ]
+    areas = coarse.element_areas
+
+    stability = 0.0
+    approximation = 0.0
+    for v in samples:
+        cvals = np.zeros(coarse.n_vertices)
+        cvals[coarse.interior_vertices] = op.matrix_full @ v
+        residual = v - hierarchy.prolongation @ (op.matrix_full @ v)
+        for k in range(coarse.n_triangles):
+            h1 = np.sqrt(fem.subset_h1_sq(fine, neighborhoods[k], v))
+            if h1 == 0.0:
+                continue
+            ck = cvals[coarse.triangles[k]]
+            s, q = ck.sum(), (ck * ck).sum()
+            interp_l2 = np.sqrt(areas[k] / 12.0 * (s * s + q))
+            res_l2 = np.sqrt(fem.subset_l2_sq(fine, hierarchy.children[k], residual))
+            stability = max(stability, interp_l2 / h1)
+            approximation = max(approximation, res_l2 / (op.coarse_size * h1))
+    return stability, approximation
+
+
+def fit_decay(radii, tails, spacing):
+    """Least-squares slope and R^2 of log(tail) against radius/spacing.
+
+    Zero tails (radii beyond the domain) carry no decay information and are
+    dropped; at least three positive tails are required.
+    """
+    radii = np.asarray(radii, dtype=float)
+    tails = np.asarray(tails, dtype=float)
+    keep = tails > 0
+    if keep.sum() < 3:
+        raise ValueError("need at least three positive tails to fit a decay rate")
+    x = radii[keep] / spacing
+    y = np.log(tails[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(((y - fitted) ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return float(slope), float(r2)

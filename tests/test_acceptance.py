@@ -15,14 +15,13 @@ import scipy.linalg as sla
 
 from lodfem import ExperimentConfig, build_interpolation, \
     build_multiscale_space, build_operators, build_uniform_mesh, \
-    element_patch, error_norms, fit_decay, make_checkerboard, make_constant, \
-    pad_full, refine_hierarchy, solve_global_corrector, solve_multiscale, \
-    solve_reference
+    element_patch, error_norms, make_checkerboard, make_constant, pad_full, \
+    refine_hierarchy, solve_global_corrector, solve_multiscale, solve_reference
 from lodfem.harness import run_convergence, run_decay
 from lodfem.lod import assemble_corrector_set
-from lodfem.mesh import node_star
 
 import oracles
+from oracles import fit_decay, node_star
 
 
 @contextmanager

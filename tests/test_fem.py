@@ -5,9 +5,10 @@ from lodfem import build_uniform_mesh, error_norms, make_constant, \
     make_checkerboard, pad_full, solve_reference
 from lodfem.fem import apply_subset_stiffness, assemble_load, assemble_mass, \
     assemble_stiffness, build_operators, subset_h1_sq, subset_l2_sq
-from lodfem.mesh import TriMesh, node_star
+from lodfem.mesh import TriMesh
 
 import oracles
+from oracles import node_star
 
 
 def reference_triangle_mesh():
@@ -212,3 +213,10 @@ def test_apply_subset_stiffness_sums_to_full(rng):
     for j in range(3):
         assert np.array_equal(
             out[:, j], apply_subset_stiffness(mesh, coeff, elements, block[:, j]))
+    # a (P, E) batch of element sets gives each set's result, stacked
+    sets = np.array([[0, 5, 9], [9, 2, 30], [7, 7, 1]])
+    batched = apply_subset_stiffness(mesh, coeff, sets, block)
+    assert batched.shape == (3, *block.shape)
+    for p, elements in enumerate(sets):
+        assert np.array_equal(
+            batched[p], apply_subset_stiffness(mesh, coeff, elements, block))

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lodfem import build_interpolation, build_uniform_mesh, measure_constants, \
-    refine_hierarchy
-from lodfem.mesh import node_star
+from lodfem import build_interpolation, build_uniform_mesh, refine_hierarchy
 
 import oracles
+from oracles import measure_constants, node_star
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from hypothesis import given, strategies as st
+from scipy.linalg import LinAlgError
 
 from lodfem import SolverFailure, spd_solve
 from lodfem.linalg import SaddleFactorization
@@ -219,3 +220,29 @@ def test_solve_matches_dense_oracle_or_fails(n, data):
         z_ref = np.concatenate([x_ref, mu_ref])
         assert np.linalg.norm(z - z_ref) <= \
             4 * cond * (tol + 1e-15) * np.linalg.norm(z_ref)
+
+
+def test_stack_solves_each_system_as_if_alone(rng):
+    """A (P, n, n) stack gives each system the bits it gets in a stack of
+    one, agrees with the sparse path, and keeps the solve's shape rules."""
+    P, n, m = 4, 10, 3
+    A = np.stack([random_spd(rng, n) for _ in range(P)])
+    C = rng.standard_normal((P, m, n))
+    b = rng.standard_normal((P, n, 2))
+    fac = SaddleFactorization(A, C)
+    x, mu = fac.solve(b)
+    assert x.shape == (P, n, 2) and mu.shape == (P, m, 2)
+    for p in range(P):
+        alone, _ = SaddleFactorization(A[p:p + 1], C[p:p + 1]).solve(b[p:p + 1])
+        assert np.array_equal(alone[0], x[p])
+        sparse_x, _ = SaddleFactorization(csr(A[p]), csr(C[p])).solve(b[p])
+        np.testing.assert_allclose(x[p], sparse_x, rtol=1e-10,
+                                   atol=1e-10 * np.abs(sparse_x).max())
+        assert np.linalg.norm(C[p] @ x[p]) <= 1e-10 * max(1.0, np.linalg.norm(x[p]))
+    single, _ = fac.solve(b[:, :, 0])
+    assert single.shape == (P, n)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        fac.solve(b[:, 1:])
+    A[2, 0, 0] = -1.0
+    with pytest.raises(LinAlgError):
+        SaddleFactorization(A, C)

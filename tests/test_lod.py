@@ -1,17 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import LinAlgError
 
+from lodfem import fem, linalg, lod
 from lodfem import SolverFailure, build_interpolation, \
     build_multiscale_space, build_uniform_mesh, build_operators, \
-    element_patch, error_norms, fit_decay, make_checkerboard, make_constant, \
+    element_patch, error_norms, make_checkerboard, make_constant, \
     measure_corrector_decay, refine_hierarchy, solve_global_corrector, \
     solve_multiscale, solve_reference
-from lodfem.lod import CorrectorSet, MultiscaleSpace, _element_correctors, \
-    assemble_corrector_set
-from lodfem.mesh import node_star
+from lodfem.lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set
+
+from oracles import fit_decay, node_star
 
 
 def saturation_order(hier):
@@ -44,9 +48,11 @@ def energy(ops, v):
 
 
 def element_contribution(hier, ops, interp, node, element, order):
-    """Fine interior vector of `node`'s contribution from `element`'s patch."""
-    nodes, dofs, x = _element_correctors(hier, ops, interp, element, order,
-                                         1e-10)
+    """Fine interior vector of `node`'s contribution from `element`'s patch,
+    solved on its own."""
+    solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
+    (stack,) = solver.stacks(np.array([element]))
+    ((_, nodes, dofs, x),) = solver.solve(stack)
     column = list(nodes).index(hier.coarse.interior_index[node])
     out = np.zeros(hier.fine.n_interior)
     out[dofs] = x[:, column]
@@ -360,3 +366,101 @@ def test_zero_corrector_set_is_plain_coarse_fem(problem):
     S_c = (P.T @ ops.stiffness_coeff @ P).toarray()
     expected = np.linalg.solve(S_c, P.T @ ops.load)
     np.testing.assert_allclose(coeffs, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("coarse_n", [4, 8, 16])
+@pytest.mark.parametrize("refinements", [1, 2])
+def test_patch_templates_match_element_patch(coarse_n, refinements):
+    """For every element, at orders 1 to 3: the dofs, constraint rows and
+    element nodes of its translated class template, and its gathered blocks,
+    equal what element_patch and scipy fancy indexing give; its right-hand
+    side equals the hats' stiffness on its children."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n), refinements)
+    coarse, fine = hier.coarse, hier.fine
+    coeff = make_checkerboard(fine.cells_per_side, 1e4, 3, fine)
+    ops = build_operators(fine, coeff, lambda x, y: x)
+    interp = build_interpolation(hier)
+    seeds = np.flatnonzero((coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
+    for order in (1, 2, 3):
+        solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
+        checked = 0
+        for stack in solver.stacks(seeds):
+            t, members = stack
+            dofs, rows, nodes, a, c, rhs = solver.gather(stack)
+            for p, element in enumerate(members):
+                patch = element_patch(hier, int(element), order)
+                np.testing.assert_array_equal(dofs[p], patch.fine_interior_dofs)
+                C = interp.matrix[coarse.interior_index[
+                    patch.active_coarse_nodes]][:, dofs[p]]
+                active = coarse.interior_index[patch.active_coarse_nodes]
+                np.testing.assert_array_equal(
+                    rows[p], active[np.diff(C.indptr) > 0])
+                C = C[np.flatnonzero(np.diff(C.indptr))]
+                A = ops.stiffness_coeff[dofs[p]][:, dofs[p]]
+                for expected, got in ((A, t.A.matrix(a[p])), (C, t.C.matrix(c[p]))):
+                    for name in ("indptr", "indices", "data"):
+                        np.testing.assert_array_equal(getattr(got, name),
+                                                      getattr(expected, name))
+                corners = coarse.interior_index[coarse.triangles[element]]
+                np.testing.assert_array_equal(nodes[p], np.sort(corners[corners >= 0]))
+                hats = hier.prolongation[:, nodes[p]].toarray()
+                b = fem.apply_subset_stiffness(fine, coeff, hier.children[element],
+                                               hats)[fine.interior_vertices[dofs[p]]]
+                np.testing.assert_allclose(rhs[p], b, rtol=1e-13,
+                                           atol=1e-13 * np.abs(b).max())
+                checked += 1
+        assert checked == seeds.size
+
+
+@settings(max_examples=10)
+@given(order=st.integers(1, 3), log_contrast=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_stacks_agree_with_superlu(problem, order, log_contrast, seed):
+    """Over random contrasts up to 1e8, the dense stacks and SuperLU give
+    the same corrector matrix to 1e-10 relative, patch for patch."""
+    hier, _, interp = problem
+    assert hier.fine.n_interior <= lod._DENSE_MAX_DOFS  # every patch is dense
+    coeff = make_checkerboard(16, 10.0 ** log_contrast, seed, hier.fine)
+    ops = build_operators(hier.fine, coeff, lambda x, y: x)
+    dense = assemble_corrector_set(hier, ops, interp, order=order).matrix
+    with mock.patch.object(lod, "_DENSE_MAX_DOFS", 0):
+        superlu = assemble_corrector_set(hier, ops, interp, order=order).matrix
+    assert abs(dense - superlu).max() <= 1e-10 * abs(superlu).max()
+
+
+def test_failed_stack_is_solved_patch_by_patch(problem, monkeypatch):
+    """A stack whose Cholesky fails is re-solved one patch at a time, giving
+    the SuperLU path's matrix bit for bit."""
+    hier, ops, interp = problem
+    with mock.patch.object(lod, "_DENSE_MAX_DOFS", 0):
+        superlu = assemble_corrector_set(hier, ops, interp, order=2).matrix
+
+    def not_positive_definite(A):
+        raise LinAlgError("forced")
+
+    monkeypatch.setattr(linalg, "_cholesky_stack", not_positive_definite)
+    fallback = assemble_corrector_set(hier, ops, interp, order=2).matrix
+    assert (fallback != superlu).nnz == 0
+
+
+def test_rejected_stack_names_the_element(problem):
+    """A tolerance no solve can meet fails the stack, then the first patch
+    re-solved alone, whose failure names its element."""
+    hier, ops, interp = problem
+    with pytest.raises(SolverFailure,
+                       match=r"corrector patch of element \d+: solve missed"):
+        assemble_corrector_set(hier, ops, interp, order=1, tol=1e-30)
+
+
+def test_dense_coarse_products_match_sparse(problem):
+    """With the global correctors SB is dense, and the coarse matrices from
+    its dense copy equal the sparse products bit for bit."""
+    hier, ops, interp = problem
+    cs = assemble_corrector_set(hier, ops, interp, order=None)
+    space = build_multiscale_space(hier, ops, cs)
+    P = hier.prolongation_interior
+    B = (P - cs.matrix.T).tocsr()
+    SB = ops.stiffness_coeff @ B
+    assert SB.nnz >= lod._DENSE_PRODUCT_DENSITY * np.prod(SB.shape)
+    assert np.array_equal(space.gram.toarray(), (B.T @ SB).toarray())
+    assert np.array_equal(space.gram_pg.toarray(), (P.T @ SB).toarray())

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from lodfem import build_uniform_mesh, element_patch, node_star, \
-    refine_hierarchy
+from lodfem import build_uniform_mesh, element_patch, refine_hierarchy
 
 import oracles
+from oracles import node_star
 
 
 def brute_force_star(mesh, vertex):
