@@ -9,8 +9,7 @@ from .fem import AssembledOperators, assemble_load, assemble_mass, \
 from .interpolation import InterpolationOperator, build_interpolation
 from .linalg import SolverFailure, spd_solve
 from .lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set, \
-    build_multiscale_space, measure_corrector_decay, solve_global_corrector, \
-    solve_multiscale
+    build_multiscale_space, measure_corrector_decay, solve_multiscale
 from .mesh import MeshHierarchy, Patch, TriMesh, build_uniform_mesh, \
     element_patch, refine_hierarchy
 

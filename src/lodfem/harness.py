@@ -221,7 +221,9 @@ def run_decay(cfg):
     coarse_n = max(cfg.coarse_n)  # the finest coarse mesh gives the most radii
     hier, interp = _hierarchy(cfg, coarse_n)
     node = _decay_node(cfg, hier.coarse)
-    phi = lod.solve_global_corrector(node, hier, ops, interp, cfg.tol)
+    phi = lod._global_correctors(
+        hier, ops, interp, [hier.coarse.interior_index[node]], cfg.tol,
+        f"global corrector at node {node}")[:, 0]
 
     spacing = 1.0 / coarse_n
     factors = cfg.decay_factors or tuple(

@@ -21,14 +21,17 @@ by the coefficient on its children.  Classes of at most _DENSE_MAX_DOFS
 dofs are solved as dense stacks of up to _STACK_BYTES of stiffness, Cholesky
 for each patch and its Schur complement; a stack that fails is re-solved one
 patch at a time.  Larger classes, and those re-solves, get one sparse
-SuperLU factorization per patch.  The global correctors are the unbounded
-patch (order None), one whole-domain solve with a column per interior node.
-The (coarse dof, patch dofs, values) triplets are summed in ascending element
-order into the corrector matrix, built once, so outputs are bit-identical at
-any thread count of the localized solves.
+SuperLU factorization per patch.  The (coarse dof, patch dofs, values)
+triplets are summed in ascending element order into the corrector matrix,
+built once, so outputs are bit-identical at any thread count of the
+localized solves.  The global correctors are the unbounded patch (order
+None): one whole-domain solve of a sparse block of right-hand sides, a
+column per interior node, whose dense solution columns become the rows of
+the corrector matrix directly.
 
-The coarse matrices B'SB and P'SB are dense products when SB = S B is
-dense (as with the global correctors), and sparse ones otherwise.
+Correctors as dense as the global ones give a dense basis B = P - M' and a
+dense S B, and B'SB and B'f are summed in the order of the sparse products;
+sparser correctors keep B and S B sparse.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -48,9 +51,9 @@ from .mesh import element_patch, patch_classes
 # dofs; the dense stack is 4.5x faster at 87 dofs and SuperLU 7x faster at
 # 1125.
 _DENSE_MAX_DOFS = 300
-# SB = S B is densified for the coarse products from this density on, where
-# its dense copy takes no more memory than its CSR form (8 against 12 bytes
-# per stored entry).
+# Correctors of at least this density give a dense basis B = P - M' and a
+# dense S B, which then take no more memory than their CSR forms (8 against
+# 12 bytes per stored entry).
 _DENSE_PRODUCT_DENSITY = 2 / 3
 # Patch stiffness bytes per dense stack.  On patch-small, stacks of 8 and 16
 # MiB raised peak RSS by 11% and 30% and saved no time.
@@ -68,7 +71,7 @@ class CorrectorSet:
 class MultiscaleSpace:
     """Modified coarse basis and the assembled coarse systems."""
 
-    basis: sparse.csr_matrix     # (n_fine_interior, n_coarse_interior)
+    basis: np.ndarray | sparse.csr_matrix  # (n_fine_interior, n_coarse_interior)
     gram: sparse.csr_matrix      # a(b_a, b_b)
     gram_pg: sparse.csr_matrix   # a(b_a, hat_b): coarse hats as test functions
     load: np.ndarray             # (f, b_a)
@@ -91,7 +94,7 @@ def _solve_patch(A, C, rhs, tol, where):
 
 def _global_correctors(hierarchy, ops, interp, nodes, tol, where):
     """Whole-domain correctors of the coarse interior dofs `nodes` (columns)."""
-    rhs = (ops.stiffness_coeff @ hierarchy.prolongation_interior[:, nodes]).toarray()
+    rhs = ops.stiffness_coeff @ hierarchy.prolongation_interior[:, nodes]
     return _solve_patch(ops.stiffness_coeff, interp.matrix, rhs, tol, where)
 
 
@@ -309,17 +312,18 @@ def _merge(blocks, shape):
     return matrix
 
 
-def solve_global_corrector(node, hierarchy, ops, interp, tol=1e-10):
-    """Corrector of one coarse interior node on the whole domain.
-
-    Solves  a(phi, w) = a(hat_node, w)  for all w in the interpolation
-    kernel, as a saddle system on the fine interior dofs.
-    """
-    dof = hierarchy.coarse.interior_index[node]
-    if dof < 0:
-        raise IndexError(f"coarse vertex {node} is not an interior node")
-    return _global_correctors(hierarchy, ops, interp, [dof], tol,
-                              f"global corrector at node {node}")[:, 0]
+def _column_rows(X):
+    """CSR matrix whose row i is column i of the dense block X, exact zeros
+    dropped: _merge of X as one block, without its per-row merge."""
+    counts = np.count_nonzero(X, axis=0)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for i, (start, end) in enumerate(zip(indptr, indptr[1:])):
+        column = X[:, i]
+        indices[start:end] = np.flatnonzero(column)
+        data[start:end] = column[indices[start:end]]
+    return sparse.csr_matrix((data, indices, indptr), shape=X.shape[::-1])
 
 
 def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
@@ -329,31 +333,47 @@ def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
     A patch order k sums per-element solves on order-k patches (at most the
     node's star size per node, in ascending element order).  order=None is
     the unbounded patch, the global correctors: one whole-domain solve for
-    all nodes.
+    all nodes, whose dense columns become the rows of the matrix.
     """
     coarse = hierarchy.coarse
-    shape = (coarse.n_interior, hierarchy.fine.n_interior)
     if order is None:
-        nodes = np.arange(shape[0])
-        blocks = [(nodes, np.arange(shape[1]), _global_correctors(
-            hierarchy, ops, interp, nodes, tol, "global correctors"))]
-    else:
-        blocks = _localized_blocks(hierarchy, ops, interp, order, tol, threads)
-    return CorrectorSet(matrix=_merge(blocks, shape))
+        return CorrectorSet(matrix=_column_rows(_global_correctors(
+            hierarchy, ops, interp, np.arange(coarse.n_interior), tol,
+            "global correctors")))
+    blocks = _localized_blocks(hierarchy, ops, interp, order, tol, threads)
+    return CorrectorSet(matrix=_merge(
+        blocks, (coarse.n_interior, hierarchy.fine.n_interior)))
+
+
+def _rows_product(B, X):
+    """B'X, summed over the rows of B in ascending order as scipy's sparse
+    product sums them, also for a dense B (BLAS matmul does not; on global
+    its B'SB is 2.8e-14 relative apart)."""
+    if sparse.issparse(B):
+        return B.T @ X
+    return np.einsum("ki,k...->i...", B, X)
 
 
 def build_multiscale_space(hierarchy, ops, correctors):
-    """Modified basis b_a = hat_a - phi_a and its coarse systems."""
+    """Modified basis b_a = hat_a - phi_a and its coarse systems.
+
+    Dense correctors (as the global ones are) give a dense basis B and a
+    dense S B, sparse ones sparse B and S B.
+    """
     P = hierarchy.prolongation_interior
-    B = (P - correctors.matrix.T).tocsr()
+    M = correctors.matrix
+    if M.nnz < _DENSE_PRODUCT_DENSITY * M.shape[0] * M.shape[1]:
+        B = (P - M.T).tocsr()
+    else:
+        B = P.toarray()
+        for i, (start, end) in enumerate(zip(M.indptr, M.indptr[1:])):
+            B[M.indices[start:end], i] -= M.data[start:end]
     SB = ops.stiffness_coeff @ B
-    if SB.nnz >= _DENSE_PRODUCT_DENSITY * SB.shape[0] * SB.shape[1]:
-        SB = SB.toarray()  # the products with it are bit-equal and faster
     return MultiscaleSpace(
         basis=B,
-        gram=sparse.csr_matrix(B.T @ SB),
+        gram=sparse.csr_matrix(_rows_product(B, SB)),
         gram_pg=sparse.csr_matrix(P.T @ SB),
-        load=B.T @ ops.load,
+        load=_rows_product(B, ops.load),
         load_pg=P.T @ ops.load,
     )
 

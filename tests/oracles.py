@@ -3,13 +3,14 @@
 The oracles recompute quantities from first principles (plane fits for
 gradients, pointwise quadrature, dense linear algebra) without touching the
 package's assembly routines, so matches against these values are meaningful.
-The measurements at the end (node stars, empirical interpolation constants,
-decay-rate fits) are analysis helpers that only the tests use.
+The measurements at the end (a single global corrector, node stars,
+empirical interpolation constants, decay-rate fits) are analysis helpers that
+only the tests use.
 """
 
 import numpy as np
 
-from lodfem import fem
+from lodfem import fem, lod
 
 # Degree-5 Gauss rule on the reference triangle (barycentric points, weights
 # summing to 1).
@@ -203,6 +204,13 @@ def error_vs_function(mesh, u_full, u_exact, grad_exact):
             gx, gy = grad_exact(m[0], m[1])
             semi_sq += area / 3.0 * ((grad_uh[0] - gx) ** 2 + (grad_uh[1] - gy) ** 2)
     return np.sqrt(l2_sq), np.sqrt(l2_sq + semi_sq)
+
+
+def global_corrector(hierarchy, ops, interp, node, tol=1e-10):
+    """Whole-domain corrector of the coarse interior vertex `node`."""
+    dof = hierarchy.coarse.interior_index[node]
+    return lod._global_correctors(hierarchy, ops, interp, [dof], tol,
+                                  f"global corrector at node {node}")[:, 0]
 
 
 def node_star(mesh, a):

@@ -16,12 +16,12 @@ import scipy.linalg as sla
 from lodfem import ExperimentConfig, build_interpolation, \
     build_multiscale_space, build_operators, build_uniform_mesh, \
     element_patch, error_norms, make_checkerboard, make_constant, pad_full, \
-    refine_hierarchy, solve_global_corrector, solve_multiscale, solve_reference
+    refine_hierarchy, solve_multiscale, solve_reference
 from lodfem.harness import run_convergence, run_decay
 from lodfem.lod import assemble_corrector_set
 
 import oracles
-from oracles import fit_decay, node_star
+from oracles import fit_decay, global_corrector, node_star
 
 
 @contextmanager
@@ -145,7 +145,7 @@ def test_criterion_3_corrector_orthogonality():
         interp = build_interpolation(hier)
         kernel = sla.null_space(interp.matrix.toarray())
         for node in hier.coarse.interior_vertices:
-            phi = solve_global_corrector(int(node), hier, ops, interp)
+            phi = global_corrector(hier, ops, interp, int(node))
             dof = hier.coarse.interior_index[node]
             hat = hier.prolongation_interior[:, dof].toarray().ravel()
             pairings = kernel.T @ (ops.stiffness_coeff @ (hat - phi))

@@ -4,7 +4,7 @@ import scipy.sparse as sparse
 from hypothesis import given, strategies as st
 from scipy.linalg import LinAlgError
 
-from lodfem import SolverFailure, spd_solve
+from lodfem import SolverFailure, linalg, spd_solve
 from lodfem.linalg import SaddleFactorization
 
 import oracles
@@ -165,6 +165,71 @@ def test_refinement_fixes_columns_that_fail_acceptance(monkeypatch):
     assert calls == [1, 1]
     assert abs(x[0]) <= 1e-10
     np.testing.assert_allclose(x[1:], 0.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rhs", [np.asarray, sparse.csr_matrix])
+def test_refinement_of_columns_across_a_block_boundary(monkeypatch, rhs):
+    """With the residual formed a column block at a time, failed columns on
+    both sides of a block boundary are found, refined together and
+    accepted, and the other columns are left as they were; for a dense or
+    a sparse block of right-hand sides."""
+    monkeypatch.setattr(linalg, "_MIN_BLOCK_COLUMNS", 1)
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * 4 * 2)  # blocks of 2 columns
+    A = csr(1e6 * np.eye(4))
+    C = csr([[1.0, 0.0, 0.0, 0.0]])
+    b = np.full((4, 4), 5e5) * np.arange(1.0, 5.0)
+    fact = SaddleFactorization(A, C)
+    assert linalg._column_blocks(b) == [slice(0, 2), slice(2, 4)]
+    apply, calls = fact._apply, []
+
+    def columns_1_and_2_off_the_constraint(r, q):
+        x, mu = apply(r, q)
+        if not calls:
+            x[0, 1:3] += 1e-6
+            mu[0, 1:3] -= 1.0
+        calls.append(r.shape[1])
+        return x, mu
+
+    monkeypatch.setattr(fact, "_apply", columns_1_and_2_off_the_constraint)
+    x, mu = fact.solve(rhs(b), tol=1e-10)
+    assert calls == [4, 2]
+    assert np.all(np.abs(x[0]) <= 1e-10)
+    np.testing.assert_allclose(x[1:], b[1:] / 1e6, rtol=1e-12)
+    untouched, _ = SaddleFactorization(A, C).solve(b[:, [0, 3]], tol=1e-10)
+    assert np.array_equal(x[:, [0, 3]], untouched)
+
+
+def test_solve_in_column_blocks(rng, monkeypatch):
+    """A solve with more columns than one block: on a diagonal system, where
+    no sum depends on how columns are grouped, each column equals its
+    one-column solve bit for bit; on a dense SPD system it agrees with the
+    one-block solve to round-off.  A sparse block of right-hand sides gives
+    the dense block's bits."""
+    n, k = 40, 9
+    monkeypatch.setattr(linalg, "_MIN_BLOCK_COLUMNS", 1)
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * n * 2)  # blocks of 2 columns
+    A = sparse.diags(rng.uniform(1.0, 10.0, n)).tocsr()
+    C = sparse.csr_matrix(([1.0, -2.0], ([0, 0], [3, 17])), shape=(1, n))
+    b = rng.standard_normal((n, k))
+    fact = SaddleFactorization(A, C)
+    assert len(linalg._column_blocks(b)) == 4
+    x, mu = fact.solve(b)
+    for j in range(k):
+        xj, muj = fact.solve(b[:, j])
+        assert np.array_equal(x[:, j], xj) and np.array_equal(mu[:, j], muj)
+
+    m = 5
+    A, C = csr(random_spd(rng, n)), csr(rng.standard_normal((m, n)))
+    b = sparse.random(n, k, density=0.3, random_state=1, format="csr")
+    x, mu = SaddleFactorization(A, C).solve(b)
+    dense_x, dense_mu = SaddleFactorization(A, C).solve(b.toarray())
+    assert np.array_equal(x, dense_x) and np.array_equal(mu, dense_mu)
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 2 ** 30)
+    whole_x, whole_mu = SaddleFactorization(A, C).solve(b.toarray())
+    np.testing.assert_allclose(x, whole_x, rtol=1e-12,
+                               atol=1e-12 * np.abs(whole_x).max())
+    np.testing.assert_allclose(mu, whole_mu, rtol=1e-12,
+                               atol=1e-12 * np.abs(whole_mu).max())
 
 
 def test_saddle_deterministic(rng):

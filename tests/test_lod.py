@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,11 +12,11 @@ from lodfem import fem, linalg, lod
 from lodfem import SolverFailure, build_interpolation, \
     build_multiscale_space, build_uniform_mesh, build_operators, \
     element_patch, error_norms, make_checkerboard, make_constant, \
-    measure_corrector_decay, refine_hierarchy, solve_global_corrector, \
-    solve_multiscale, solve_reference
+    measure_corrector_decay, refine_hierarchy, solve_multiscale, \
+    solve_reference
 from lodfem.lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set
 
-from oracles import fit_decay, node_star
+from oracles import fit_decay, global_corrector, node_star
 
 
 def saturation_order(hier):
@@ -62,7 +63,7 @@ def element_contribution(hier, ops, interp, node, element, order):
 def test_global_corrector_orthogonal_to_kernel(problem, kernel_basis, rng):
     hier, ops, interp = problem
     for node in hier.coarse.interior_vertices:
-        phi = solve_global_corrector(int(node), hier, ops, interp)
+        phi = global_corrector(hier, ops, interp, int(node))
         dof = hier.coarse.interior_index[node]
         hat = hier.prolongation_interior[:, dof].toarray().ravel()
         residual = ops.stiffness_coeff @ (hat - phi)
@@ -75,8 +76,8 @@ def test_global_corrector_orthogonal_to_kernel(problem, kernel_basis, rng):
 def test_global_corrector_deterministic(problem):
     hier, ops, interp = problem
     node = int(hier.coarse.interior_vertices[0])
-    a = solve_global_corrector(node, hier, ops, interp)
-    b = solve_global_corrector(node, hier, ops, interp)
+    a = global_corrector(hier, ops, interp, node)
+    b = global_corrector(hier, ops, interp, node)
     assert np.array_equal(a, b)
 
 
@@ -85,7 +86,7 @@ def test_global_corrector_energy_optimality(problem, kernel_basis, rng):
     node = int(hier.coarse.interior_vertices[4])
     dof = hier.coarse.interior_index[node]
     hat = hier.prolongation_interior[:, dof].toarray().ravel()
-    phi = solve_global_corrector(node, hier, ops, interp)
+    phi = global_corrector(hier, ops, interp, node)
     best = energy(ops, phi - hat)
     for _ in range(10):
         v = kernel_basis @ rng.standard_normal(kernel_basis.shape[1])
@@ -98,15 +99,8 @@ def test_corrector_nonzero_for_constant_coefficient(small_hierarchy):
                           lambda x, y: x)
     interp = build_interpolation(hier)
     node = int(hier.coarse.interior_vertices[0])
-    phi = solve_global_corrector(node, hier, ops, interp)
+    phi = global_corrector(hier, ops, interp, node)
     assert energy(ops, phi) > 1e-3
-
-
-def test_corrector_rejects_boundary_node(problem):
-    hier, ops, interp = problem
-    boundary_vertex = int(np.flatnonzero(hier.coarse.boundary_flags)[0])
-    with pytest.raises(IndexError):
-        solve_global_corrector(boundary_vertex, hier, ops, interp)
 
 
 def test_corrector_set_satisfies_constraints(problem):
@@ -139,7 +133,7 @@ def test_local_correctors_sum_to_global_at_saturation(problem):
         for element in node_star(hier.coarse, node):
             total += element_contribution(hier, ops, interp, node,
                                           int(element), l_sat)
-        phi = solve_global_corrector(node, hier, ops, interp)
+        phi = global_corrector(hier, ops, interp, node)
         assert energy(ops, total - phi) <= 1e-8
 
 
@@ -305,7 +299,7 @@ def test_every_patch_has_active_nodes(problem):
 def test_decay_tails(problem):
     hier, ops, interp = problem
     center = 2 * 5 + 2  # coarse vertex (0.5, 0.5) on the 4-grid
-    phi = solve_global_corrector(center, hier, ops, interp)
+    phi = global_corrector(hier, ops, interp, center)
     radii = [0.25, 0.5, 0.75, 1.5]
     tails = measure_corrector_decay(hier, center, phi, radii)
     values = [t for _, t in tails]
@@ -329,7 +323,7 @@ def test_decay_fit_on_checkerboard():
     hier = refine_hierarchy(build_uniform_mesh(8), 2)
     interp = build_interpolation(hier)
     center = 4 * 9 + 4
-    phi = solve_global_corrector(center, hier, ops, interp)
+    phi = global_corrector(hier, ops, interp, center)
     radii = [m / 8 for m in (2, 3, 4, 5)]
     tails = measure_corrector_decay(hier, center, phi, radii)
     slope, r2 = fit_decay([r for r, _ in tails], [t for _, t in tails], 1 / 8)
@@ -464,3 +458,66 @@ def test_dense_coarse_products_match_sparse(problem):
     assert SB.nnz >= lod._DENSE_PRODUCT_DENSITY * np.prod(SB.shape)
     assert np.array_equal(space.gram.toarray(), (B.T @ SB).toarray())
     assert np.array_equal(space.gram_pg.toarray(), (P.T @ SB).toarray())
+
+
+def test_global_csr_is_the_merge_of_its_dense_block(problem):
+    """The global corrector matrix is built straight from the dense solve,
+    row i from column i, and equals _merge of that block in every CSR
+    array, with exact zeros dropped."""
+    hier, ops, interp = problem
+    shape = (hier.coarse.n_interior, hier.fine.n_interior)
+    X = lod._global_correctors(hier, ops, interp, np.arange(shape[0]), 1e-10,
+                               "global correctors")
+    matrix = assemble_corrector_set(hier, ops, interp, order=None).matrix
+    merged = lod._merge([(np.arange(shape[0]), np.arange(shape[1]), X)], shape)
+    X[[5, 40], [2, 3]] = 0.0, -0.0
+    direct = lod._column_rows(X)
+    assert direct.nnz == merged.nnz - 2
+    for got, expected in ((matrix, merged), (direct, lod._merge(
+            [(np.arange(shape[0]), np.arange(shape[1]), X)], shape))):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("coarse_n", [8, 16])
+def test_global_space_memory_peak(coarse_n):
+    """Global correctors and their multiscale space hold at most four dense
+    n_fine_interior x n_coarse_interior arrays' worth of memory at once."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            int(np.log2(64 // coarse_n)))
+    ops = build_operators(hier.fine, make_checkerboard(64, 20.0, 10, hier.fine),
+                          lambda x, y: x)
+    interp = build_interpolation(hier)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cs = assemble_corrector_set(hier, ops, interp, order=None)
+        build_multiscale_space(hier, ops, cs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 4.0 * 8 * hier.fine.n_interior * hier.coarse.n_interior
+
+
+@settings(max_examples=10)
+@given(fine_n=st.sampled_from([16, 32]), coarse_n=st.sampled_from([4, 8]),
+       order=st.sampled_from([None, 1, 2, 3]), log_contrast=st.floats(0.0, 6.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_coarse_galerkin_matrix_is_spd(fine_n, coarse_n, order, log_contrast,
+                                       seed):
+    """Over contrasts up to 1e6, global and localized correctors: the coarse
+    Galerkin matrix is symmetric to 1e-12 relative and has a Cholesky
+    factor."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            int(np.log2(fine_n // coarse_n)))
+    coeff = make_checkerboard(fine_n, 10.0 ** log_contrast, seed, hier.fine)
+    ops = build_operators(hier.fine, coeff, lambda x, y: x)
+    cs = assemble_corrector_set(hier, ops, build_interpolation(hier),
+                                order=order)
+    gram = build_multiscale_space(hier, ops, cs).gram.toarray()
+    assert np.abs(gram - gram.T).max() <= 1e-12 * np.abs(gram).max()
+    np.linalg.cholesky(gram)
