@@ -27,7 +27,6 @@ class InterpolationOperator:
     matrix: sparse.csr_matrix       # coarse interior nodes x fine interior dofs
     matrix_full: sparse.csr_matrix  # coarse interior nodes x all fine vertices
     denominators: np.ndarray        # per coarse interior node, > 0
-    coarse_size: float              # H used in the weighting
 
 
 def _gradient_operators(mesh):
@@ -72,5 +71,4 @@ def build_interpolation(hierarchy):
         matrix=matrix,
         matrix_full=matrix_full,
         denominators=denominators,
-        coarse_size=H,
     )

@@ -10,7 +10,9 @@ equality-constrained quadratic solve
 handled through the Schur complement of its KKT system.  With constraints
 (m > 0) A is symmetric positive definite, so SuperLU factorizes it once in
 its symmetric mode (minimum degree on A'+A, diagonal pivots), and the small
-dense Schur complement S = C A^-1 C' is Cholesky-factorized.  An
+dense Schur complement S = C A^-1 C' is Cholesky-factorized; S is positive
+definite because the constraints have full row rank (the rows of a
+quasi-interpolation are local and linearly independent).  An
 unconstrained solve Ax = b is the case of C with zero rows (m = 0), in which
 A need not be symmetric and SuperLU's default pivoted ordering is used.  A
 stack of small dense SPD systems, A of shape (P, n, n) with C of shape
@@ -21,21 +23,21 @@ for the A-solves and the residual, rows for the update x = u - Y mu, so that
 a solve holds only Y and x whole, and a sparse block of right-hand sides is
 never made dense whole.  The kernel polishes with iterative refinement;
 one per-column acceptance test decides both which columns are refined and
-whether the solve succeeds, and a solve either passes it or raises
-SolverFailure carrying the achieved residual.  Solves are pure functions of
-their inputs, and each system of a stack gets the same bits whatever else is
-stacked with it, so repeated or concurrent calls on shared immutable
-matrices are deterministic.
+whether the solve succeeds.  There is one failure type: a factorization
+that fails, or a solve that misses the test, raises SolverFailure, the
+latter carrying the achieved residual.  Solves are pure functions of their
+inputs, so repeated or concurrent calls on shared immutable matrices are
+deterministic, and each system of a stack gets the same bits whatever else
+is stacked with it up to refinement, which visits the columns that fail in
+any system of the stack.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 _REFINE_STEPS = 2
-_DENSE_FALLBACK_LIMIT = 5000
 # A solve with many right-hand sides works in blocks of about _BLOCK_BYTES
 # per system and of at least _MIN_BLOCK_COLUMNS columns.  SuperLU copies the
 # right-hand sides it is given and allocates as much again for work, so the
@@ -59,7 +61,8 @@ def spd_solve(A, b, tol=1e-10):
     """Solve Ax = b for symmetric positive definite A to a relative residual.
 
     The unconstrained case of SaddleFactorization; deterministic for fixed
-    inputs.  Raises SolverFailure if the residual target is missed.
+    inputs.  Raises SolverFailure if the factorization fails or the residual
+    target is missed.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
@@ -70,21 +73,25 @@ def spd_solve(A, b, tol=1e-10):
     return SaddleFactorization(A, no_constraints).solve(b, tol)[0]
 
 
-def _cholesky_stack(A):
-    """Lower Cholesky factors of a (P, n, n) stack of SPD matrices."""
+def _cholesky(A):
+    """Lower Cholesky factor of an SPD matrix (n, n), or of each matrix of a
+    stack (P, n, n); SolverFailure if one is not positive definite."""
     L = np.empty_like(A)
-    for p, a in enumerate(A):
-        L[p], info = dpotrf(a, lower=1, clean=0)
+    for i in np.ndindex(A.shape[:-2]):
+        L[i], info = dpotrf(A[i], lower=1, clean=0)
         if info:
-            raise LinAlgError(f"matrix {p} of the stack is not positive definite")
+            which = f" {i[0]} of the stack" if i else ""
+            raise SolverFailure(
+                f"factorization failed: matrix{which} is not positive definite")
     return L
 
 
-def _cho_solve_stack(L, B):
-    """Solve with each factor of `L` (P, n, n) its block of `B` (P, n, k)."""
+def _cho_solve(L, B):
+    """Solve with the factor `L` (n, n) the right-hand sides `B` (n, k), or
+    with each factor of a stack (P, n, n) its block of `B` (P, n, k)."""
     X = np.empty_like(B)
-    for p, (factor, b) in enumerate(zip(L, B)):
-        X[p], _ = dpotrs(factor, b, lower=1)
+    for i in np.ndindex(L.shape[:-2]):
+        X[i], _ = dpotrs(L[i], B[i], lower=1)
     return X
 
 
@@ -125,58 +132,37 @@ class SaddleFactorization:
 
     A is factorized once; with constraints, Y = A^-1 C' is formed by block
     solves and S = C Y is Cholesky-factorized, so each application is
-    u = A^-1 r, mu = S^-1 (C u - q), x = u - Y mu.  When SuperLU rejects A,
-    Cholesky rejects S (rank-deficient constraints make S singular), or a
-    solve comes out non-finite, a dense least-squares solve of the KKT
-    matrix takes over; it recovers the (still unique) minimizer x with a
-    least-norm multiplier, and its solution is accepted only if it passes
-    the residual test.
+    u = A^-1 r, mu = S^-1 (C u - q), x = u - Y mu.  The constraints must
+    have full row rank, so that S is positive definite.
 
     Given numpy stacks A (P, n, n) and C (P, m, n), it factorizes P systems
-    at once and solves right-hand sides (P, n) or (P, n, k).  A stack has no
-    dense fallback: a matrix that is not positive definite raises
-    LinAlgError here, and a column that fails the test raises
-    SolverFailure, so the caller can re-solve the systems one at a time.
+    at once and solves right-hand sides (P, n) or (P, n, k).  A factorization
+    that fails (SuperLU rejects A, or A of a stack or S is not positive
+    definite) raises SolverFailure, as does a solve that fails the test.
     """
 
     def __init__(self, A, C):
         self.n = A.shape[-1]
         self.m = C.shape[-2]
-        self._dense = None
         if isinstance(A, np.ndarray):
             self.A, self.C, self.Ct = A, C, C.transpose(0, 2, 1)
-            chol = _cholesky_stack(A)
-            self._solve_A = lambda r: _cho_solve_stack(chol, r)
-            if self.m:
-                self._Y = self._solve_A(self.Ct)
-                schur = _cholesky_stack(C @ self._Y)
-                self._solve_S = lambda r: _cho_solve_stack(schur, r)
-            return
-        self.A = A.tocsr()
-        self.C = C.tocsr()
-        self.Ct = self.C.T.tocsr()
-        try:
-            if self.m == 0:
-                lu = spla.splu(sparse.csc_matrix(A))
-            else:
-                lu = spla.splu(
-                    sparse.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0, options=dict(SymmetricMode=True))
-                self._Y = _solve_columns(lu.solve, self.Ct)
-                schur = cho_factor(self.C @ self._Y, check_finite=False)
-                self._solve_S = lambda r: cho_solve(schur, r, check_finite=False)
+            chol = _cholesky(A)
+            self._solve_A = lambda r: _cho_solve(chol, r)
+        else:
+            self.A = A.tocsr()
+            self.C = C.tocsr()
+            self.Ct = self.C.T.tocsr()
+            symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                             options=dict(SymmetricMode=True)) if self.m else {}
+            try:
+                lu = spla.splu(sparse.csc_matrix(A), **symmetric)
+            except RuntimeError as exc:
+                raise SolverFailure(f"factorization failed: {exc}") from exc
             self._solve_A = lu.solve
-        except (RuntimeError, LinAlgError):
-            self._use_dense()
-
-    def _use_dense(self):
-        size = self.n + self.m
-        if size > _DENSE_FALLBACK_LIMIT:
-            raise SolverFailure(
-                f"singular KKT system of size {size} "
-                "exceeds the dense fallback limit")
-        self._dense = sparse.bmat(
-            [[self.A, self.Ct], [self.C, None]]).toarray()
+        if self.m:
+            self._Y = _solve_columns(self._solve_A, self.Ct)
+            schur = _cholesky(self.C @ self._Y)
+            self._solve_S = lambda r: _cho_solve(schur, r)
 
     def _apply(self, r, q):
         """(x, mu) solving A x + C'mu = r, C x = q, column by column; r may
@@ -218,9 +204,10 @@ class SaddleFactorization:
         a time, never whole.  A stack takes (P, n) or (P, n, k).  A column is
         accepted when its stationarity residual is at most tol ||b|| and its
         feasibility residual at most tol max(1, ||x||), both finite.  The
-        columns that fail this test are refined, at most _REFINE_STEPS
-        times; any column still failing raises SolverFailure.  x and mu come back with b's
-        number of columns.
+        columns that fail this test in any system are refined, at most
+        _REFINE_STEPS times, and each system keeps the correction of the
+        columns it failed; any column still failing raises SolverFailure.
+        x and mu come back with b's number of columns.
         """
         lead = self.A.shape[:-2]  # (P,) for a stack, () otherwise
         if not sparse.issparse(b):
@@ -231,28 +218,17 @@ class SaddleFactorization:
             raise ValueError(f"shape mismatch: system size {self.n}, rhs {b.shape}")
         B = b.tocsc() if sparse.issparse(b) else b.reshape(*lead, self.n, -1)
 
-        if self._dense is None:
-            x, mu = self._apply(B, np.zeros((*lead, self.m, B.shape[-1])))
-            for step in range(_REFINE_STEPS + 1):
-                failed, stat, feas = self._test(B, x, mu, tol)
-                if step == _REFINE_STEPS or not failed.any():
-                    break
-                if lead:  # a stack refines whole blocks, keeping failed columns
-                    dx, dmu = self._apply(*self._residual(B, x, mu))
-                    keep = failed[:, None, :]
-                    x, mu = np.where(keep, x + dx, x), np.where(keep, mu + dmu, mu)
-                else:  # the residual of the failed columns only
-                    dx, dmu = self._apply(*self._residual(
-                        _columns(B, failed), x[:, failed], mu[:, failed]))
-                    x[:, failed] += dx
-                    mu[:, failed] += dmu
-            if not lead and not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu))):
-                self._use_dense()
-        if self._dense is not None:
-            rhs = np.concatenate([_columns(B), np.zeros((self.m, B.shape[1]))])
-            z, *_ = np.linalg.lstsq(self._dense, rhs, rcond=None)
-            x, mu = z[:self.n], z[self.n:]
+        x, mu = self._apply(B, np.zeros((*lead, self.m, B.shape[-1])))
+        for step in range(_REFINE_STEPS + 1):
             failed, stat, feas = self._test(B, x, mu, tol)
+            if step == _REFINE_STEPS or not failed.any():
+                break
+            cols = failed.reshape(-1, failed.shape[-1]).any(axis=0)
+            sub, keep = (..., cols), failed[..., None, cols]
+            dx, dmu = self._apply(*self._residual(_columns(B, cols),
+                                                  x[sub], mu[sub]))
+            x[sub] = np.where(keep, x[sub] + dx, x[sub])
+            mu[sub] = np.where(keep, mu[sub] + dmu, mu[sub])
 
         if failed.any():
             j = np.flatnonzero(failed)[0]

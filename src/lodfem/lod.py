@@ -40,7 +40,6 @@ from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import LinAlgError
 
 from . import fem
 from .linalg import SaddleFactorization, SolverFailure, spd_solve
@@ -251,7 +250,7 @@ class _PatchSolver:
             C[:, _entry_rows(t.C), t.C.indices] = c
             try:
                 x, _ = SaddleFactorization(A, C).solve(rhs, self.tol)
-            except (LinAlgError, SolverFailure):
+            except SolverFailure:
                 pass  # re-solved one patch at a time, with explicit failures
         if x is None:
             x = [_solve_patch(t.A.matrix(a[p]), t.C.matrix(c[p]), rhs[p], self.tol,

@@ -285,7 +285,7 @@ def measure_constants(hierarchy, op, trials, seed=0):
             interp_l2 = np.sqrt(areas[k] / 12.0 * (s * s + q))
             res_l2 = np.sqrt(fem.subset_l2_sq(fine, hierarchy.children[k], residual))
             stability = max(stability, interp_l2 / h1)
-            approximation = max(approximation, res_l2 / (op.coarse_size * h1))
+            approximation = max(approximation, res_l2 / (coarse.mesh_size * h1))
     return stability, approximation
 
 

@@ -15,7 +15,6 @@ def test_constant_field(fine):
     c = make_constant(5.0, fine)
     assert np.all(c.values == 5.0)
     assert c.alpha == c.beta == 5.0
-    c.validate()
 
 
 def test_constant_identity_bounds(fine):
@@ -97,13 +96,6 @@ def test_checkerboard_alignment_error(fine):
 def test_checkerboard_invalid_contrast(fine):
     with pytest.raises(ValueError, match="invalid contrast"):
         make_checkerboard(4, 0.5, 1, fine)
-
-
-def test_validate_detects_stale_bounds(fine):
-    c = make_constant(2.0, fine)
-    c.values[0] = 3.0
-    with pytest.raises(ValueError, match="stale"):
-        c.validate()
 
 
 def test_export_raster(tmp_path, fine):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from hypothesis import given, strategies as st
-from scipy.linalg import LinAlgError
 
 from lodfem import SolverFailure, linalg, spd_solve
 from lodfem.linalg import SaddleFactorization
@@ -57,16 +56,12 @@ def test_spd_deterministic(rng):
 
 
 def test_spd_singular_raises():
+    """SuperLU rejects a singular matrix, whether or not the right-hand side
+    is consistent with it."""
     A = csr([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(SolverFailure):
-        spd_solve(A, np.array([1.0, 1.0]))
-
-
-def test_spd_singular_consistent_gives_least_squares():
-    # SuperLU rejects the singular matrix; the dense fallback's solution
-    # meets the residual test
-    A = csr([[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(spd_solve(A, np.array([2.0, 0.0])), [2.0, 0.0])
+    for b in ([1.0, 1.0], [2.0, 0.0]):
+        with pytest.raises(SolverFailure, match="factorization failed"):
+            spd_solve(A, np.array(b))
 
 
 def test_saddle_no_constraints_reduces_to_spd(rng):
@@ -131,14 +126,27 @@ def test_saddle_minimizes_energy_over_kernel(rng):
 
 
 def test_saddle_rank_deficient_constraints(rng):
+    """A zero constraint row makes the Schur complement exactly singular:
+    the sparse path and a stack of one raise SolverFailure.  With a
+    duplicated row, rounding decides whether the Cholesky factorization of
+    the Schur complement fails; a solve that passes gives the full-rank
+    minimizer."""
     n = 10
     A = random_spd(rng, n)
     C1 = rng.standard_normal((3, n))
-    C2 = np.vstack([C1, C1[0]])  # duplicated row: rank deficient
     b = rng.standard_normal(n)
     x_full, _ = SaddleFactorization(csr(A), csr(C1)).solve(b)
-    x_dup, _ = SaddleFactorization(csr(A), csr(C2)).solve(b)
-    np.testing.assert_allclose(x_dup, x_full, atol=1e-8)
+    zero_row = np.vstack([C1, np.zeros(n)])
+    for make in (lambda C: SaddleFactorization(csr(A), csr(C)),
+                 lambda C: SaddleFactorization(A[None], C[None])):
+        with pytest.raises(SolverFailure, match="not positive definite"):
+            make(zero_row)
+        try:
+            fac = make(np.vstack([C1, C1[0]]))
+            x_dup, _ = fac.solve(b if fac.A.ndim == 2 else b[None])
+        except SolverFailure:
+            continue
+        np.testing.assert_allclose(x_dup.reshape(n), x_full, atol=1e-8)
 
 
 def test_refinement_fixes_columns_that_fail_acceptance(monkeypatch):
@@ -197,6 +205,37 @@ def test_refinement_of_columns_across_a_block_boundary(monkeypatch, rhs):
     np.testing.assert_allclose(x[1:], b[1:] / 1e6, rtol=1e-12)
     untouched, _ = SaddleFactorization(A, C).solve(b[:, [0, 3]], tol=1e-10)
     assert np.array_equal(x[:, [0, 3]], untouched)
+
+
+def test_stack_refines_the_columns_failing_in_any_system(monkeypatch):
+    """A stack refines each column that fails in some system and keeps the
+    correction only where the test failed: system 0's column 1 is refined
+    and accepted; system 1's column 1, which passes with a small error, and
+    the other columns keep their first solve."""
+    A = np.stack([1e6 * np.eye(4)] * 2)
+    C = np.stack([[[1.0, 0.0, 0.0, 0.0]]] * 2)
+    b = np.full((2, 4, 3), 5e5) * np.arange(1.0, 4.0)
+    fact = SaddleFactorization(A, C)
+    apply, calls = fact._apply, []
+
+    def column_1_of_system_0_off_the_constraint(r, q):
+        x, mu = apply(r, q)
+        if not calls:
+            x[0, 0, 1] += 1e-6
+            mu[0, 0, 1] -= 1.0
+            x[1, 0, 1] += 1e-12
+        calls.append(r.shape)
+        return x, mu
+
+    monkeypatch.setattr(fact, "_apply", column_1_of_system_0_off_the_constraint)
+    x, mu = fact.solve(b, tol=1e-10)
+    assert calls == [(2, 4, 3), (2, 4, 1)]
+    expected, _ = SaddleFactorization(A, C).solve(b, tol=1e-10)
+    assert abs(x[0, 0, 1]) <= 1e-10
+    np.testing.assert_allclose(x[0, 1:, 1], expected[0, 1:, 1], rtol=1e-12)
+    x[0, :, 1] = expected[0, :, 1]
+    expected[1, 0, 1] += 1e-12
+    assert np.array_equal(x, expected)
 
 
 def test_solve_in_column_blocks(rng, monkeypatch):
@@ -309,5 +348,5 @@ def test_stack_solves_each_system_as_if_alone(rng):
     with pytest.raises(ValueError, match="shape mismatch"):
         fac.solve(b[:, 1:])
     A[2, 0, 0] = -1.0
-    with pytest.raises(LinAlgError):
+    with pytest.raises(SolverFailure, match="matrix 2 of the stack"):
         SaddleFactorization(A, C)

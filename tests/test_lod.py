@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import LinAlgError
 
 from lodfem import fem, linalg, lod
 from lodfem import SolverFailure, build_interpolation, \
@@ -368,7 +367,8 @@ def test_patch_templates_match_element_patch(coarse_n, refinements):
     """For every element, at orders 1 to 3: the dofs, constraint rows and
     element nodes of its translated class template, and its gathered blocks,
     equal what element_patch and scipy fancy indexing give; its right-hand
-    side equals the hats' stiffness on its children."""
+    side equals the hats' stiffness on its children.  The constraint block
+    of each class has full row rank."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n), refinements)
     coarse, fine = hier.coarse, hier.fine
     coeff = make_checkerboard(fine.cells_per_side, 1e4, 3, fine)
@@ -381,6 +381,9 @@ def test_patch_templates_match_element_patch(coarse_n, refinements):
         for stack in solver.stacks(seeds):
             t, members = stack
             dofs, rows, nodes, a, c, rhs = solver.gather(stack)
+            # full row rank, so that the Schur complement is SPD
+            sigma = np.linalg.svd(t.C.matrix(c[0]).toarray(), compute_uv=False)
+            assert sigma.min() >= 1e-3 * sigma.max()
             for p, element in enumerate(members):
                 patch = element_patch(hier, int(element), order)
                 np.testing.assert_array_equal(dofs[p], patch.fine_interior_dofs)
@@ -429,10 +432,14 @@ def test_failed_stack_is_solved_patch_by_patch(problem, monkeypatch):
     with mock.patch.object(lod, "_DENSE_MAX_DOFS", 0):
         superlu = assemble_corrector_set(hier, ops, interp, order=2).matrix
 
-    def not_positive_definite(A):
-        raise LinAlgError("forced")
+    cholesky = linalg._cholesky
 
-    monkeypatch.setattr(linalg, "_cholesky_stack", not_positive_definite)
+    def stacks_not_positive_definite(A):
+        if A.ndim == 3:
+            raise SolverFailure("forced")
+        return cholesky(A)
+
+    monkeypatch.setattr(linalg, "_cholesky", stacks_not_positive_definite)
     fallback = assemble_corrector_set(hier, ops, interp, order=2).matrix
     assert (fallback != superlu).nnz == 0
 
