@@ -7,6 +7,7 @@ hold `#` or a line break, or start or end with blanks.  Two presets ship:
 (fine grid 256, coarse sizes 8..64, patch orders 1..3).
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 RHS_NAMES = ("x", "one", "manufactured", "zero")
@@ -49,6 +50,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{f.name} cannot hold '#', a line break, or leading or "
                     f"trailing blanks, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.fine_n < 2:
             raise ConfigError(f"fine_n must be >= 2, got {self.fine_n}")
         if not self.coarse_n:

@@ -38,7 +38,17 @@ def coefficient_values(mesh, coeff):
     return values
 
 
-def _restrict(A, mesh):
+def _assemble(mesh, local, interior):
+    """Global matrix summed from the element matrices `local` (E, 3, 3),
+    restricted to the interior dofs if `interior`."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    A = sparse.csr_matrix((local.ravel(), (rows, cols)),
+                          shape=(mesh.n_vertices, mesh.n_vertices))
+    A.sum_duplicates()
+    if not interior:
+        return A
     idx = mesh.interior_vertices
     return A[idx][:, idx].tocsr()
 
@@ -49,33 +59,18 @@ def assemble_stiffness(mesh, coeff=None, interior=True):
     With interior=True (default) Dirichlet rows and columns are removed via
     the mesh dof map; interior=False returns the full singular matrix.
     """
-    values = coefficient_values(mesh, coeff)
     gx, gy = mesh.element_gradients
-    w = values * mesh.element_areas
     local = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
-    local = local * w[:, None, None]
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    A = sparse.csr_matrix((local.ravel(), (rows, cols)),
-                          shape=(mesh.n_vertices, mesh.n_vertices))
-    A.sum_duplicates()
-    return _restrict(A, mesh) if interior else A
+    local *= (coefficient_values(mesh, coeff) * mesh.element_areas)[:, None, None]
+    return _assemble(mesh, local, interior)
 
 
 def assemble_mass(mesh, interior=True):
     """Consistent P1 mass matrix, exact (local block area/12 * (1 + delta))."""
-    area = mesh.element_areas
     local = np.full((mesh.n_triangles, 3, 3), 1.0)
     local[:, np.arange(3), np.arange(3)] = 2.0
-    local *= (area / 12.0)[:, None, None]
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    M = sparse.csr_matrix((local.ravel(), (rows, cols)),
-                          shape=(mesh.n_vertices, mesh.n_vertices))
-    M.sum_duplicates()
-    return _restrict(M, mesh) if interior else M
+    local *= (mesh.element_areas / 12.0)[:, None, None]
+    return _assemble(mesh, local, interior)
 
 
 def assemble_load(mesh, f, interior=True):

@@ -10,6 +10,7 @@ are only written when `timings = wall`; determinism checks use
 `timings = off`.
 """
 
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -123,12 +124,13 @@ def _hierarchy(cfg, coarse_n):
     return hier, interpolation.build_interpolation(hier)
 
 
-def _solve_level(cfg, hier, ops, interp, u_ref, order):
-    """Errors, corrector count and fine solution at one patch order.
+def _solve_level(cfg, hier, ops, interp, u_ref, level, order):
+    """Errors, corrector count and fine solution of the row `level`, solved
+    at patch order `order`.
 
     Order 0 is the plain coarse FEM, None the global correctors and k the
     correctors localized to order-k patches.  A solver failure gives NaN
-    errors, a zero count and no solution.
+    errors, a zero count and no solution, and its reason on stderr.
     """
     coarse = hier.coarse
     try:
@@ -147,7 +149,9 @@ def _solve_level(cfg, hier, ops, interp, u_ref, order):
             if cfg.mode == "petrov" and order != 0 else "galerkin"
         _, u_ms = lod.solve_multiscale(space, solve_mode, cfg.tol)
         return fem.error_norms(u_ms, u_ref, ops), count, u_ms
-    except lod.SolverFailure:
+    except lod.SolverFailure as exc:
+        print(f"row coarse_n={coarse.cells_per_side} level={level} "
+              f"failed: {exc}", file=sys.stderr)
         return (float("nan"),) * 3, 0, None
 
 
@@ -173,7 +177,7 @@ def _sweep(cfg, coarse_list, level_list):
             if order not in solved:
                 start = time.perf_counter()
                 solved[order] = _solve_level(cfg, hier, ops, interp, u_ref,
-                                             order)
+                                             level, order)
                 if cfg.timings == "wall":
                     seconds = time.perf_counter() - start
             errs, count, u_ms = solved[order]

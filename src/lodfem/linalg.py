@@ -24,12 +24,12 @@ a solve holds only Y and x whole, and a sparse block of right-hand sides is
 never made dense whole.  The kernel polishes with iterative refinement;
 one per-column acceptance test decides both which columns are refined and
 whether the solve succeeds.  There is one failure type: a factorization
-that fails, or a solve that misses the test, raises SolverFailure, the
-latter carrying the achieved residual.  Solves are pure functions of their
-inputs, so repeated or concurrent calls on shared immutable matrices are
-deterministic, and each system of a stack gets the same bits whatever else
-is stacked with it up to refinement, which visits the columns that fail in
-any system of the stack.
+that fails, or a solve that misses the test, raises SolverFailure; a missed
+solve carries the achieved residual, and a stack names its failing system.
+Solves are pure functions of their inputs, so repeated or concurrent calls
+on shared immutable matrices are deterministic, and each system of a stack
+gets the same bits whatever else is stacked with it up to refinement, which
+visits the columns that fail in any system of the stack.
 """
 
 import numpy as np
@@ -50,11 +50,13 @@ _MIN_BLOCK_COLUMNS = 8
 
 
 class SolverFailure(RuntimeError):
-    """Linear solve did not reach the requested tolerance."""
+    """A factorization failed or a solve missed its tolerance; `system` is
+    the index of the first failing system of a stack, None for one system."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, system=None):
         super().__init__(message)
         self.residual = residual
+        self.system = system
 
 
 def spd_solve(A, b, tol=1e-10):
@@ -82,7 +84,8 @@ def _cholesky(A):
         if info:
             which = f" {i[0]} of the stack" if i else ""
             raise SolverFailure(
-                f"factorization failed: matrix{which} is not positive definite")
+                f"factorization failed: matrix{which} is not positive definite",
+                system=i[0] if i else None)
     return L
 
 
@@ -231,11 +234,12 @@ class SaddleFactorization:
             mu[sub] = np.where(keep, mu[sub] + dmu, mu[sub])
 
         if failed.any():
-            j = np.flatnonzero(failed)[0]
-            stat, feas = stat.ravel()[j], feas.ravel()[j]
+            j = tuple(np.argwhere(failed)[0])
+            stat, feas = stat[j], feas[j]
             raise SolverFailure(
                 f"solve missed tolerance: stationarity {stat:.3e}, "
-                f"feasibility {feas:.3e}", residual=float(max(stat, feas)))
+                f"feasibility {feas:.3e}", residual=float(max(stat, feas)),
+                system=int(j[0]) if lead else None)
         if b.ndim == len(lead) + 1:
             return x[..., 0], mu[..., 0]
         return x, mu

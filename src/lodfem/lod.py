@@ -17,11 +17,11 @@ the sparsity of its stiffness and constraint blocks, and the unit-coefficient
 right-hand side of each child element.  A member's blocks are gathered from
 the CSR data of the fine stiffness and the quasi-interpolation at the
 member's lattice offset, and its right-hand side is the template's weighted
-by the coefficient on its children.  Classes of at most _DENSE_MAX_DOFS
-dofs are solved as dense stacks of up to _STACK_BYTES of stiffness, Cholesky
-for each patch and its Schur complement; a stack that fails is re-solved one
-patch at a time.  Larger classes, and those re-solves, get one sparse
-SuperLU factorization per patch.  The (coarse dof, patch dofs, values)
+by the coefficient on its children.  Each patch is solved once: classes of
+at most _DENSE_MAX_DOFS dofs as dense stacks of up to _STACK_BYTES of
+stiffness, Cholesky for each patch and its Schur complement, larger classes
+one patch at a time, each with one sparse SuperLU factorization.  A failure
+names the element of its patch.  The (coarse dof, patch dofs, values)
 triplets are summed in ascending element order into the corrector matrix,
 built once, so outputs are bit-identical at any thread count of the
 localized solves.  The global correctors are the unbounded patch (order
@@ -30,8 +30,7 @@ column per interior node, whose dense solution columns become the rows of
 the corrector matrix directly.
 
 Correctors as dense as the global ones give a dense basis B = P - M' and a
-dense S B, and B'SB and B'f are summed in the order of the sparse products;
-sparser correctors keep B and S B sparse.
+dense S B; sparser correctors keep B and S B sparse.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -77,24 +76,16 @@ class MultiscaleSpace:
     load_pg: np.ndarray          # (f, hat_a)
 
 
-def _solve_patch(A, C, rhs, tol, where):
-    """Corrector block of one patch with stiffness A and constraints C.
-
-    Each column x of the result minimizes a(x, x)/2 - (rhs, x) over the
-    patch, subject to C x = 0.  One factorization serves all columns of
-    `rhs` (n, k).
-    """
+def _global_correctors(hierarchy, ops, interp, nodes, tol, where):
+    """Whole-domain correctors of the coarse interior dofs `nodes` (columns);
+    a failure is named by `where`."""
+    S = ops.stiffness_coeff
     try:
-        x, _ = SaddleFactorization(A, C).solve(rhs, tol)
+        x, _ = SaddleFactorization(S, interp.matrix).solve(
+            S @ hierarchy.prolongation_interior[:, nodes], tol)
     except SolverFailure as exc:
         raise SolverFailure(f"{where}: {exc}", residual=exc.residual) from exc
     return x
-
-
-def _global_correctors(hierarchy, ops, interp, nodes, tol, where):
-    """Whole-domain correctors of the coarse interior dofs `nodes` (columns)."""
-    rhs = ops.stiffness_coeff @ hierarchy.prolongation_interior[:, nodes]
-    return _solve_patch(ops.stiffness_coeff, interp.matrix, rhs, tol, where)
 
 
 class _Entries:
@@ -133,6 +124,12 @@ class _Pattern:
         return sparse.csr_matrix((data, self.indices, self.indptr),
                                  shape=self.shape)
 
+    def dense(self, data):
+        """Dense stack (P, *shape) of the blocks with values `data` (P, nnz)."""
+        out = np.zeros((data.shape[0], *self.shape))
+        out[:, _entry_rows(self), self.indices] = data
+        return out
+
 
 @dataclass(eq=False)
 class _PatchTemplate:
@@ -168,12 +165,14 @@ class _PatchSolver:
         self._children_rhs_cache = {}
 
     def stacks(self, elements):
-        """(template, members) pairs that cover `elements`, class by class."""
+        """(template, members) pairs that cover `elements`, class by class:
+        stacks of up to _STACK_BYTES, one patch each past _DENSE_MAX_DOFS."""
         for label in np.unique(self.labels[elements]):
             members = elements[self.labels[elements] == label]
             template = self._template(int(np.flatnonzero(self.labels == label)[0]))
             n = template.dofs.size
-            size = max(1, _STACK_BYTES // (8 * n * n))
+            size = max(1, _STACK_BYTES // (8 * n * n)) \
+                if n <= _DENSE_MAX_DOFS else 1
             for i in range(0, members.size, size):
                 yield template, members[i:i + size]
 
@@ -239,23 +238,20 @@ class _PatchSolver:
         return dofs, rows, t.nodes + coarse_shift, a, c, rhs
 
     def solve(self, stack):
-        """(element, nodes, dofs, x) of each member of one stack."""
+        """(element, nodes, dofs, x) of each member of one stack (see stacks)."""
         t, members = stack
         dofs, _, nodes, a, c, rhs = self.gather(stack)
-        x = None
         if t.dofs.size <= _DENSE_MAX_DOFS:
-            A = np.zeros((members.size, *t.A.shape))
-            A[:, _entry_rows(t.A), t.A.indices] = a
-            C = np.zeros((members.size, *t.C.shape))
-            C[:, _entry_rows(t.C), t.C.indices] = c
-            try:
-                x, _ = SaddleFactorization(A, C).solve(rhs, self.tol)
-            except SolverFailure:
-                pass  # re-solved one patch at a time, with explicit failures
-        if x is None:
-            x = [_solve_patch(t.A.matrix(a[p]), t.C.matrix(c[p]), rhs[p], self.tol,
-                              f"corrector patch of element {element}")
-                 for p, element in enumerate(members)]
+            A, C, b = t.A.dense(a), t.C.dense(c), rhs
+        else:
+            A, C, b = t.A.matrix(a[0]), t.C.matrix(c[0]), rhs[0]
+        try:
+            x, _ = SaddleFactorization(A, C).solve(b, self.tol)
+        except SolverFailure as exc:
+            element = members[exc.system or 0]
+            raise SolverFailure(f"corrector patch of element {element}: {exc}",
+                                residual=exc.residual) from exc
+        x = x.reshape(rhs.shape)
         return [(element, nodes[p], dofs[p], x[p])
                 for p, element in enumerate(members)]
 
@@ -344,15 +340,6 @@ def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
         blocks, (coarse.n_interior, hierarchy.fine.n_interior)))
 
 
-def _rows_product(B, X):
-    """B'X, summed over the rows of B in ascending order as scipy's sparse
-    product sums them, also for a dense B (BLAS matmul does not; on global
-    its B'SB is 2.8e-14 relative apart)."""
-    if sparse.issparse(B):
-        return B.T @ X
-    return np.einsum("ki,k...->i...", B, X)
-
-
 def build_multiscale_space(hierarchy, ops, correctors):
     """Modified basis b_a = hat_a - phi_a and its coarse systems.
 
@@ -370,9 +357,9 @@ def build_multiscale_space(hierarchy, ops, correctors):
     SB = ops.stiffness_coeff @ B
     return MultiscaleSpace(
         basis=B,
-        gram=sparse.csr_matrix(_rows_product(B, SB)),
+        gram=sparse.csr_matrix(B.T @ SB),
         gram_pg=sparse.csr_matrix(P.T @ SB),
-        load=_rows_product(B, ops.load),
+        load=B.T @ ops.load,
         load_pg=P.T @ ops.load,
     )
 

@@ -317,8 +317,12 @@ def test_cli_missing_config_file():
     ("convergence", "fine_n = 16\ncoarse_n = 4, 4\ncoeff_cell = 8\n", []),
     ("convergence", "fine_n = 16\ncoarse_n = 4\nlevels = 1, 1\n"
                     "coeff_cell = 8\n", []),
+    ("solve", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\ntol = nan\n", []),
+    ("convergence", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n"
+                    "coeff_contrast = inf\n", []),
 ], ids=["coeff_cell", "coeff_amplitude", "decay_node", "threads_zero",
-        "decay_factors_unordered", "coarse_n_repeated", "levels_repeated"])
+        "decay_factors_unordered", "coarse_n_repeated", "levels_repeated",
+        "tol_nan", "contrast_inf"])
 def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,
                                           command, text, flags):
     monkeypatch.chdir(tmp_path)
@@ -326,6 +330,25 @@ def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,
     path.write_text(text)
     assert main([command, "--config", str(path), *flags]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_failed_row_says_why(tmp_path, monkeypatch, capsys):
+    """A corrector solve that fails gives a NaN row, exit code 0, and its
+    reason on stderr."""
+    def failing(*args, **kwargs):
+        raise lod.SolverFailure("corrector patch of element 7: forced")
+
+    monkeypatch.setattr(lod, "assemble_corrector_set", failing)
+    config = tmp_path / "run.cfg"
+    config.write_text("fine_n = 16\ncoarse_n = 4\nlevels = 1\ncoeff_cell = 8\n"
+                      "timings = off\n")
+    out = tmp_path / "run.csv"
+    assert main(["convergence", "--config", str(config), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["4", "0"], ["4", "1"]]
+    assert np.isfinite(float(rows[0][2])) and rows[1][2:5] == ["nan"] * 3
+    assert capsys.readouterr().err == (
+        "row coarse_n=4 level=1 failed: corrector patch of element 7: forced\n")
 
 
 @pytest.mark.parametrize("contrast", ["1e6", "1e8"])

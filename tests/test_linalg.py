@@ -350,3 +350,38 @@ def test_stack_solves_each_system_as_if_alone(rng):
     A[2, 0, 0] = -1.0
     with pytest.raises(SolverFailure, match="matrix 2 of the stack"):
         SaddleFactorization(A, C)
+
+
+def test_stack_failure_names_its_system(rng, monkeypatch):
+    """A stack whose matrix 2 is not positive definite, and a stack in which
+    only system 2 misses the tolerance, fail with `system` 2; a single
+    system's failure has `system` None."""
+    P, n, m = 4, 6, 2
+    A = np.stack([random_spd(rng, n) for _ in range(P)])
+    C = rng.standard_normal((P, m, n))
+    b = rng.standard_normal((P, n, 3))
+    indefinite = A.copy()
+    indefinite[2, 0, 0] = -1.0
+    with pytest.raises(SolverFailure, match="not positive definite") as failure:
+        SaddleFactorization(indefinite, C)
+    assert failure.value.system == 2
+
+    def off_the_constraint(fact, system):
+        apply = fact._apply
+
+        def shifted(r, q):
+            x, mu = apply(r, q)
+            x[system] += 1.0
+            return x, mu
+
+        monkeypatch.setattr(fact, "_apply", shifted)
+        return fact
+
+    for fact, system, rhs in (
+            (off_the_constraint(SaddleFactorization(A, C), 2), 2, b),
+            (off_the_constraint(SaddleFactorization(csr(A[0]), csr(C[0])),
+                                slice(None)), None, b[0])):
+        with pytest.raises(SolverFailure, match="missed tolerance") as failure:
+            fact.solve(rhs)
+        assert failure.value.system == system
+        assert failure.value.residual > 0

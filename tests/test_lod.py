@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
-from lodfem import fem, linalg, lod
+from lodfem import fem, lod
 from lodfem import SolverFailure, build_interpolation, \
     build_multiscale_space, build_uniform_mesh, build_operators, \
     element_patch, error_norms, make_checkerboard, make_constant, \
@@ -425,37 +425,43 @@ def test_dense_stacks_agree_with_superlu(problem, order, log_contrast, seed):
     assert abs(dense - superlu).max() <= 1e-10 * abs(superlu).max()
 
 
-def test_failed_stack_is_solved_patch_by_patch(problem, monkeypatch):
-    """A stack whose Cholesky fails is re-solved one patch at a time, giving
-    the SuperLU path's matrix bit for bit."""
-    hier, ops, interp = problem
-    with mock.patch.object(lod, "_DENSE_MAX_DOFS", 0):
-        superlu = assemble_corrector_set(hier, ops, interp, order=2).matrix
-
-    cholesky = linalg._cholesky
-
-    def stacks_not_positive_definite(A):
-        if A.ndim == 3:
-            raise SolverFailure("forced")
-        return cholesky(A)
-
-    monkeypatch.setattr(linalg, "_cholesky", stacks_not_positive_definite)
-    fallback = assemble_corrector_set(hier, ops, interp, order=2).matrix
-    assert (fallback != superlu).nnz == 0
-
-
 def test_rejected_stack_names_the_element(problem):
-    """A tolerance no solve can meet fails the stack, then the first patch
-    re-solved alone, whose failure names its element."""
+    """A tolerance no solve can meet fails the first stack, whose failure
+    names the element of its first failing patch."""
     hier, ops, interp = problem
     with pytest.raises(SolverFailure,
                        match=r"corrector patch of element \d+: solve missed"):
         assemble_corrector_set(hier, ops, interp, order=1, tol=1e-30)
 
 
+def test_failing_later_member_names_its_element(monkeypatch):
+    """A dense stack whose third member's patch stiffness is not positive
+    definite fails, and the failure names that member's element."""
+    hier = refine_hierarchy(build_uniform_mesh(8), 1)
+    ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
+                          lambda x, y: x)
+    interp = build_interpolation(hier)
+    gather, failing = lod._PatchSolver.gather, []
+
+    def third_member_negated(self, stack):
+        dofs, rows, nodes, a, c, rhs = gather(self, stack)
+        t, members = stack
+        if not failing and members.size >= 3:
+            assert t.dofs.size <= lod._DENSE_MAX_DOFS
+            failing.append(members[2])
+            a[2] = -a[2]
+        return dofs, rows, nodes, a, c, rhs
+
+    monkeypatch.setattr(lod._PatchSolver, "gather", third_member_negated)
+    with pytest.raises(SolverFailure, match="not positive definite") as failure:
+        assemble_corrector_set(hier, ops, interp, order=1)
+    assert str(failure.value).startswith(
+        f"corrector patch of element {failing[0]}: ")
+
+
 def test_dense_coarse_products_match_sparse(problem):
-    """With the global correctors SB is dense, and the coarse matrices from
-    its dense copy equal the sparse products bit for bit."""
+    """With the global correctors SB is dense; B'SB from its dense copy
+    agrees with the sparse product to 1e-13 relative, and P'SB equals it."""
     hier, ops, interp = problem
     cs = assemble_corrector_set(hier, ops, interp, order=None)
     space = build_multiscale_space(hier, ops, cs)
@@ -463,7 +469,8 @@ def test_dense_coarse_products_match_sparse(problem):
     B = (P - cs.matrix.T).tocsr()
     SB = ops.stiffness_coeff @ B
     assert SB.nnz >= lod._DENSE_PRODUCT_DENSITY * np.prod(SB.shape)
-    assert np.array_equal(space.gram.toarray(), (B.T @ SB).toarray())
+    gram, expected = space.gram.toarray(), (B.T @ SB).toarray()
+    assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
     assert np.array_equal(space.gram_pg.toarray(), (P.T @ SB).toarray())
 
 
