@@ -3,7 +3,9 @@
 Subcommands: solve, convergence, decay, coeff-export.  A preset (desk or
 paper) provides the base configuration; a config file and the --out and
 --threads flags override it.  Exit codes: 0 success, 1 configuration error,
-2 solver failure.
+2 solver failure.  A solve or convergence run whose row failed still writes
+every row, the failed one as NaN errors with its reason on stderr, and
+exits 2.
 """
 
 import argparse
@@ -57,6 +59,7 @@ def _print_report(report):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    report = None
     try:
         cfg = _load(args)
         if args.command == "solve":
@@ -81,7 +84,7 @@ def main(argv=None):
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return 2 if report is not None and report.failed() else 0
 
 
 if __name__ == "__main__":

@@ -93,6 +93,10 @@ class ErrorReport:
         lines = [CSV_HEADER] + [row.csv_line() for row in self.rows]
         return "\n".join(lines) + "\n"
 
+    def failed(self):
+        """Whether the solve of any row failed (its errors are NaN)."""
+        return any(np.isnan(row.err_energy) for row in self.rows)
+
     def fill_orders(self):
         """Observed order between consecutive coarse sizes of the same level."""
         by_level = {}
@@ -124,6 +128,16 @@ def _hierarchy(cfg, coarse_n):
     return hier, interpolation.build_interpolation(hier)
 
 
+def _correctors(cfg, hier, ops, interp, order):
+    """The corrector set of patch order `order`: none (all zero) at order 0,
+    else assembled."""
+    if order == 0:
+        return lod.CorrectorSet(sparse.csr_matrix(
+            (hier.coarse.n_interior, hier.fine.n_interior)))
+    return lod.assemble_corrector_set(hier, ops, interp, order=order,
+                                      tol=cfg.tol, threads=cfg.threads)
+
+
 def _solve_level(cfg, hier, ops, interp, u_ref, level, order):
     """Errors, corrector count and fine solution of the row `level`, solved
     at patch order `order`.
@@ -134,17 +148,13 @@ def _solve_level(cfg, hier, ops, interp, u_ref, level, order):
     """
     coarse = hier.coarse
     try:
-        if order == 0:
-            correctors = lod.CorrectorSet(sparse.csr_matrix(
-                (coarse.n_interior, hier.fine.n_interior)))
-            count = 0
-        else:
-            correctors = lod.assemble_corrector_set(
-                hier, ops, interp, order=order, tol=cfg.tol,
-                threads=cfg.threads)
-            count = coarse.n_interior if order is None else int(
-                np.count_nonzero(coarse.interior_index[coarse.triangles] >= 0))
-        space = lod.build_multiscale_space(hier, ops, correctors)
+        # the corrector set is passed on, not kept, so that the multiscale
+        # space can let it go once its basis exists
+        space = lod.build_multiscale_space(
+            hier, ops, _correctors(cfg, hier, ops, interp, order))
+        count = 0 if order == 0 else coarse.n_interior if order is None \
+            else int(np.count_nonzero(
+                coarse.interior_index[coarse.triangles] >= 0))
         solve_mode = "petrov_galerkin" \
             if cfg.mode == "petrov" and order != 0 else "galerkin"
         _, u_ms = lod.solve_multiscale(space, solve_mode, cfg.tol)

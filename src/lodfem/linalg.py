@@ -14,7 +14,12 @@ dense Schur complement S = C A^-1 C' is Cholesky-factorized; S is positive
 definite because the constraints have full row rank (the rows of a
 quasi-interpolation are local and linearly independent).  An
 unconstrained solve Ax = b is the case of C with zero rows (m = 0), in which
-A need not be symmetric and SuperLU's default pivoted ordering is used.  A
+A need not be symmetric: SuperLU takes its symmetric mode when A equals its
+transpose bit for bit (as the fine stiffness does), and its default pivoted
+ordering otherwise (as for the Petrov-Galerkin matrix).  The A-orthogonal
+projection of p onto the kernel of C, x = p - A^-1 C'(C A^-1 C')^-1 C p, is
+the solve of b = A p; `project` starts that solve from u = A^-1 b = p, so
+that it does no A-solve of its right-hand sides.  A
 stack of small dense SPD systems, A of shape (P, n, n) with C of shape
 (P, m, n), is the batched case: LAPACK Cholesky factors each A and each S,
 and every step below works on the whole stack at once.  Many right-hand
@@ -156,7 +161,8 @@ class SaddleFactorization:
             self.C = C.tocsr()
             self.Ct = self.C.T.tocsr()
             symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                             options=dict(SymmetricMode=True)) if self.m else {}
+                             options=dict(SymmetricMode=True)) \
+                if self.m or (self.A != self.A.T).nnz == 0 else {}
             try:
                 lu = spla.splu(sparse.csc_matrix(A), **symmetric)
             except RuntimeError as exc:
@@ -167,10 +173,12 @@ class SaddleFactorization:
             schur = _cholesky(self.C @ self._Y)
             self._solve_S = lambda r: _cho_solve(schur, r)
 
-    def _apply(self, r, q):
+    def _apply(self, r, q, u=None):
         """(x, mu) solving A x + C'mu = r, C x = q, column by column; r may
-        be sparse.  x is formed in place of u = A^-1 r."""
-        u = _solve_columns(self._solve_A, r)
+        be sparse.  x is formed in place of u = A^-1 r, or of the dense `u`
+        a caller passes when it already knows A^-1 r."""
+        if u is None:
+            u = _solve_columns(self._solve_A, r)
         if self.m == 0:
             return u, np.zeros(q.shape)
         mu = self._solve_S(self.C @ u - q)
@@ -212,6 +220,34 @@ class SaddleFactorization:
         columns it failed; any column still failing raises SolverFailure.
         x and mu come back with b's number of columns.
         """
+        B, q, single = self._block(b)
+        x, mu = self._apply(B, q)
+        return self._refined(B, x, mu, tol, single)
+
+    def project(self, p, tol=1e-10):
+        """A-orthogonal projection x = p - A^-1 C'(C A^-1 C')^-1 C p of p
+        onto the kernel of C, with its multiplier mu.
+
+        This is the solve of b = A p (kept sparse when p is), started from
+        u = p in place of u = A^-1 b, so that only the constraints are
+        solved for: mu = S^-1 C p and x = p - Y mu.  p takes the shapes b
+        does in `solve`, and x is then accepted, refined (with A-solves of
+        the residual) or rejected as there.
+        """
+        P, q, single = self._block(p)
+        B = self.A @ P
+        if sparse.issparse(B):
+            B = B.tocsc()
+        # C-ordered, as a block solve's u is: scipy's sparse products copy a
+        # dense operand that is not
+        u = P.toarray(order="C") if sparse.issparse(P) else P.copy()
+        x, mu = self._apply(B, q, u)
+        return self._refined(B, x, mu, tol, single)
+
+    def _block(self, b):
+        """The right-hand sides `b` as a block B (..., n, k), sparse as CSC,
+        zero constraint right-hand sides q for it, and whether `b` was a
+        single column."""
         lead = self.A.shape[:-2]  # (P,) for a stack, () otherwise
         if not sparse.issparse(b):
             b = np.asarray(b, dtype=float)
@@ -220,8 +256,13 @@ class SaddleFactorization:
                 (sparse.issparse(b) and (lead or b.ndim != 2)):
             raise ValueError(f"shape mismatch: system size {self.n}, rhs {b.shape}")
         B = b.tocsc() if sparse.issparse(b) else b.reshape(*lead, self.n, -1)
+        return B, np.zeros((*lead, self.m, B.shape[-1])), \
+            b.ndim == len(lead) + 1
 
-        x, mu = self._apply(B, np.zeros((*lead, self.m, B.shape[-1])))
+    def _refined(self, B, x, mu, tol, single):
+        """(x, mu) of the right-hand sides B after refinement (see solve),
+        or SolverFailure; one column each if `single`."""
+        lead = self.A.shape[:-2]
         for step in range(_REFINE_STEPS + 1):
             failed, stat, feas = self._test(B, x, mu, tol)
             if step == _REFINE_STEPS or not failed.any():
@@ -240,6 +281,6 @@ class SaddleFactorization:
                 f"solve missed tolerance: stationarity {stat:.3e}, "
                 f"feasibility {feas:.3e}", residual=float(max(stat, feas)),
                 system=int(j[0]) if lead else None)
-        if b.ndim == len(lead) + 1:
+        if single:
             return x[..., 0], mu[..., 0]
         return x, mu

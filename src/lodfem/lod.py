@@ -25,9 +25,11 @@ names the element of its patch.  The (coarse dof, patch dofs, values)
 triplets are summed in ascending element order into the corrector matrix,
 built once, so outputs are bit-identical at any thread count of the
 localized solves.  The global correctors are the unbounded patch (order
-None): one whole-domain solve of a sparse block of right-hand sides, a
-column per interior node, whose dense solution columns become the rows of
-the corrector matrix directly.
+None): the A-orthogonal projection of the prolonged hats, a column per
+interior node, onto the kernel of the quasi-interpolation,
+x = p - A^-1 C'(C A^-1 C')^-1 C p (SaddleFactorization.project), so that the
+whole-domain solve has no A-solve of its right-hand sides.  The dense
+columns of x become the rows of the corrector matrix directly.
 
 Correctors as dense as the global ones give a dense basis B = P - M' and a
 dense S B; sparser correctors keep B and S B sparse.
@@ -77,12 +79,12 @@ class MultiscaleSpace:
 
 
 def _global_correctors(hierarchy, ops, interp, nodes, tol, where):
-    """Whole-domain correctors of the coarse interior dofs `nodes` (columns);
-    a failure is named by `where`."""
-    S = ops.stiffness_coeff
+    """Whole-domain correctors of the coarse interior dofs `nodes` (columns):
+    the A-orthogonal projections of their hats onto the kernel of the
+    quasi-interpolation; a failure is named by `where`."""
     try:
-        x, _ = SaddleFactorization(S, interp.matrix).solve(
-            S @ hierarchy.prolongation_interior[:, nodes], tol)
+        x, _ = SaddleFactorization(ops.stiffness_coeff, interp.matrix).project(
+            hierarchy.prolongation_interior[:, nodes], tol)
     except SolverFailure as exc:
         raise SolverFailure(f"{where}: {exc}", residual=exc.residual) from exc
     return x
@@ -309,15 +311,17 @@ def _merge(blocks, shape):
 
 def _column_rows(X):
     """CSR matrix whose row i is column i of the dense block X, exact zeros
-    dropped: _merge of X as one block, without its per-row merge."""
+    dropped: _merge of X as one block, without its per-row merge.  X is read
+    16 columns at a time, as one contiguous copy of their transpose."""
     counts = np.count_nonzero(X, axis=0)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
-    for i, (start, end) in enumerate(zip(indptr, indptr[1:])):
-        column = X[:, i]
-        indices[start:end] = np.flatnonzero(column)
-        data[start:end] = column[indices[start:end]]
+    for start in range(0, X.shape[1], 16):
+        for i, row in enumerate(X[:, start:start + 16].T.copy(), start):
+            span = slice(indptr[i], indptr[i + 1])
+            indices[span] = np.flatnonzero(row)
+            data[span] = row[indices[span]]
     return sparse.csr_matrix((data, indices, indptr), shape=X.shape[::-1])
 
 
@@ -344,16 +348,20 @@ def build_multiscale_space(hierarchy, ops, correctors):
     """Modified basis b_a = hat_a - phi_a and its coarse systems.
 
     Dense correctors (as the global ones are) give a dense basis B and a
-    dense S B, sparse ones sparse B and S B.
+    dense S B, sparse ones sparse B and S B.  The corrector matrix is let go
+    once B exists, so a caller that passes `correctors` without keeping it
+    does not hold it while S B is formed.
     """
     P = hierarchy.prolongation_interior
     M = correctors.matrix
+    del correctors
     if M.nnz < _DENSE_PRODUCT_DENSITY * M.shape[0] * M.shape[1]:
         B = (P - M.T).tocsr()
     else:
         B = P.toarray()
-        for i, (start, end) in enumerate(zip(M.indptr, M.indptr[1:])):
-            B[M.indices[start:end], i] -= M.data[start:end]
+        for start in range(0, M.shape[0], 16):
+            B[:, start:start + 16] -= M[start:start + 16].toarray().T
+    del M
     SB = ops.stiffness_coeff @ B
     return MultiscaleSpace(
         basis=B,

@@ -333,7 +333,7 @@ def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,
 
 
 def test_failed_row_says_why(tmp_path, monkeypatch, capsys):
-    """A corrector solve that fails gives a NaN row, exit code 0, and its
+    """A corrector solve that fails gives a NaN row, exit code 2, and its
     reason on stderr."""
     def failing(*args, **kwargs):
         raise lod.SolverFailure("corrector patch of element 7: forced")
@@ -343,12 +343,29 @@ def test_failed_row_says_why(tmp_path, monkeypatch, capsys):
     config.write_text("fine_n = 16\ncoarse_n = 4\nlevels = 1\ncoeff_cell = 8\n"
                       "timings = off\n")
     out = tmp_path / "run.csv"
-    assert main(["convergence", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["convergence", "--config", str(config), "--out", str(out)]) == 2
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [row[:2] for row in rows] == [["4", "0"], ["4", "1"]]
     assert np.isfinite(float(rows[0][2])) and rows[1][2:5] == ["nan"] * 3
     assert capsys.readouterr().err == (
         "row coarse_n=4 level=1 failed: corrector patch of element 7: forced\n")
+
+
+def test_failed_solve_row_exits_2(tmp_path, monkeypatch, capsys):
+    """`solve` keeps the failed-row contract of `convergence`: its failed row
+    is written as NaN errors and the run exits 2."""
+    def failing(*args, **kwargs):
+        raise lod.SolverFailure("forced")
+
+    monkeypatch.setattr(lod, "assemble_corrector_set", failing)
+    config = tmp_path / "run.cfg"
+    config.write_text("fine_n = 16\ncoarse_n = 4\nlevels = 1\ncoeff_cell = 8\n"
+                      "timings = off\n")
+    out = tmp_path / "row.csv"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows[-1][:2] == ["4", "1"] and rows[-1][2:5] == ["nan"] * 3
+    assert "failed: forced" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("contrast", ["1e6", "1e8"])

@@ -271,6 +271,84 @@ def test_solve_in_column_blocks(rng, monkeypatch):
                                atol=1e-12 * np.abs(whole_mu).max())
 
 
+def assert_close(got, expected, rtol):
+    assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+def projection_problem(rng, n=30, m=6):
+    """A sparse SPD A (a shifted path Laplacian with random weights) and a
+    random full-rank C."""
+    w = rng.uniform(1.0, 10.0, n - 1)
+    A = sparse.diags([-w, np.r_[w, 0] + np.r_[0, w] + 1.0, -w], [-1, 0, 1])
+    return A.tocsr(), csr(rng.standard_normal((m, n)))
+
+
+@pytest.mark.parametrize("columns", ["one", "sparse block"])
+def test_project_is_the_solve_of_A_p(rng, columns):
+    """project(p) agrees with solve(A @ p) to 1e-13 relative, x and mu, for
+    one column and for a sparse block of them; x is in the kernel of C."""
+    A, C = projection_problem(rng)
+    if columns == "one":
+        p = rng.standard_normal(A.shape[0])
+    else:
+        p = sparse.random(A.shape[0], 7, density=0.2, random_state=3,
+                          format="csr")
+    fact = SaddleFactorization(A, C)
+    x, mu = fact.project(p)
+    x_ref, mu_ref = fact.solve(A @ p)
+    assert x.shape == x_ref.shape and mu.shape == mu_ref.shape
+    assert_close(x, x_ref, 1e-13)
+    assert_close(mu, mu_ref, 1e-13)
+    assert np.abs(C @ x).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_project_refines_with_A_solves(rng, monkeypatch):
+    """A projection whose first step misses the acceptance test is refined
+    like a solve, by A-solves of its residual, and then agrees with
+    solve(A @ p) to 1e-13 relative."""
+    A, C = projection_problem(rng)
+    p = rng.standard_normal((A.shape[0], 3))
+    fact = SaddleFactorization(A, C)
+    x_ref, mu_ref = fact.solve(A @ p)
+    apply, calls = fact._apply, []
+
+    def first_step_off_the_constraint(r, q, u=None):
+        x, mu = apply(r, q, u)
+        if not calls:
+            x[:, 1] += 1e-6 * np.abs(x).max()  # column 1 leaves C x = 0
+        calls.append((r.shape[1], u is not None))
+        return x, mu
+
+    monkeypatch.setattr(fact, "_apply", first_step_off_the_constraint)
+    x, mu = fact.project(p)
+    assert calls == [(3, True), (1, False)]
+    assert_close(x, x_ref, 1e-13)
+    assert_close(mu, mu_ref, 1e-13)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric):
+    """Without constraints, a bit-symmetric A is factorized in SuperLU's
+    symmetric mode and any other A with the default pivoted ordering; both
+    solve to the tolerance."""
+    A = random_spd(rng, 12)
+    if not symmetric:
+        A[0, 1] += 1e-3
+    splu, modes = linalg.spla.splu, []
+
+    def recorded(matrix, **options):
+        modes.append(options)
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(linalg.spla, "splu", recorded)
+    b = rng.standard_normal(12)
+    x, _ = SaddleFactorization(csr(A), sparse.csr_matrix((0, 12))).solve(b)
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10)
+    assert modes == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                          options=dict(SymmetricMode=True))
+                     if symmetric else {}]
+
+
 def test_saddle_deterministic(rng):
     A = csr(random_spd(rng, 15))
     C = csr(rng.standard_normal((4, 15)))
