@@ -130,7 +130,7 @@ def _hierarchy(cfg, coarse_n):
 
 def _correctors(cfg, hier, ops, interp, order):
     """The corrector set of patch order `order`: none (all zero) at order 0,
-    else assembled."""
+    else localized to order-k patches."""
     if order == 0:
         return lod.CorrectorSet(sparse.csr_matrix(
             (hier.coarse.n_interior, hier.fine.n_interior)))
@@ -142,22 +142,30 @@ def _solve_level(cfg, hier, ops, interp, u_ref, level, order):
     """Errors, corrector count and fine solution of the row `level`, solved
     at patch order `order`.
 
-    Order 0 is the plain coarse FEM, None the global correctors and k the
-    correctors localized to order-k patches.  A solver failure gives NaN
-    errors, a zero count and no solution, and its reason on stderr.
+    Order 0 is the plain coarse FEM and k the correctors localized to
+    order-k patches, each solved on its multiscale space.  Order None, the
+    global correctors, is the A-orthogonal projection of u_ref onto their
+    multiscale space: u_ref less its projection onto the kernel of the
+    quasi-interpolation, one constrained solve with no corrector set.  A
+    solver failure gives NaN errors, a zero count and no solution, and its
+    reason on stderr.
     """
     coarse = hier.coarse
     try:
-        # the corrector set is passed on, not kept, so that the multiscale
-        # space can let it go once its basis exists
-        space = lod.build_multiscale_space(
-            hier, ops, _correctors(cfg, hier, ops, interp, order))
-        count = 0 if order == 0 else coarse.n_interior if order is None \
-            else int(np.count_nonzero(
+        if order is None:
+            count = coarse.n_interior
+            u_ms = u_ref - lod._kernel_projection(ops, interp, u_ref, cfg.tol,
+                                                  "global projection")
+        else:
+            # the corrector set is passed on, not kept, so that the
+            # multiscale space can let it go once its basis exists
+            space = lod.build_multiscale_space(
+                hier, ops, _correctors(cfg, hier, ops, interp, order))
+            count = 0 if order == 0 else int(np.count_nonzero(
                 coarse.interior_index[coarse.triangles] >= 0))
-        solve_mode = "petrov_galerkin" \
-            if cfg.mode == "petrov" and order != 0 else "galerkin"
-        _, u_ms = lod.solve_multiscale(space, solve_mode, cfg.tol)
+            solve_mode = "petrov_galerkin" \
+                if cfg.mode == "petrov" and order != 0 else "galerkin"
+            _, u_ms = lod.solve_multiscale(space, solve_mode, cfg.tol)
         return fem.error_norms(u_ms, u_ref, ops), count, u_ms
     except lod.SolverFailure as exc:
         print(f"row coarse_n={coarse.cells_per_side} level={level} "
@@ -235,8 +243,9 @@ def run_decay(cfg):
     coarse_n = max(cfg.coarse_n)  # the finest coarse mesh gives the most radii
     hier, interp = _hierarchy(cfg, coarse_n)
     node = _decay_node(cfg, hier.coarse)
-    phi = lod._global_correctors(
-        hier, ops, interp, [hier.coarse.interior_index[node]], cfg.tol,
+    dof = hier.coarse.interior_index[node]
+    phi = lod._kernel_projection(
+        ops, interp, hier.prolongation_interior[:, [dof]], cfg.tol,
         f"global corrector at node {node}")[:, 0]
 
     spacing = 1.0 / coarse_n

@@ -81,11 +81,14 @@ def spd_solve(A, b, tol=1e-10):
 
 
 def _cholesky(A):
-    """Lower Cholesky factor of an SPD matrix (n, n), or of each matrix of a
-    stack (P, n, n); SolverFailure if one is not positive definite."""
+    """Transposed lower Cholesky factor of an SPD matrix (n, n), or of each
+    matrix of a stack (P, n, n); SolverFailure if one is not positive
+    definite.  Stored transposed, each factor's transpose is the Fortran
+    order that dpotrs takes without a copy."""
     L = np.empty_like(A)
     for i in np.ndindex(A.shape[:-2]):
-        L[i], info = dpotrf(A[i], lower=1, clean=0)
+        c, info = dpotrf(A[i], lower=1, clean=0)
+        L[i] = c.T
         if info:
             which = f" {i[0]} of the stack" if i else ""
             raise SolverFailure(
@@ -95,11 +98,12 @@ def _cholesky(A):
 
 
 def _cho_solve(L, B):
-    """Solve with the factor `L` (n, n) the right-hand sides `B` (n, k), or
-    with each factor of a stack (P, n, n) its block of `B` (P, n, k)."""
+    """Solve with the factor `L` (n, n) of _cholesky the right-hand sides
+    `B` (n, k), or with each factor of a stack (P, n, n) its block of `B`
+    (P, n, k)."""
     X = np.empty_like(B)
     for i in np.ndindex(L.shape[:-2]):
-        X[i], _ = dpotrs(L[i], B[i], lower=1)
+        X[i], _ = dpotrs(L[i].T, B[i], lower=1)
     return X
 
 

@@ -25,14 +25,14 @@ names the element of its patch.  The (coarse dof, patch dofs, values)
 triplets are summed in ascending element order into the corrector matrix,
 built once, so outputs are bit-identical at any thread count of the
 localized solves.  The global correctors are the unbounded patch (order
-None): the A-orthogonal projection of the prolonged hats, a column per
-interior node, onto the kernel of the quasi-interpolation,
-x = p - A^-1 C'(C A^-1 C')^-1 C p (SaddleFactorization.project), so that the
-whole-domain solve has no A-solve of its right-hand sides.  The dense
-columns of x become the rows of the corrector matrix directly.
-
-Correctors as dense as the global ones give a dense basis B = P - M' and a
-dense S B; sparser correctors keep B and S B sparse.
+None): the A-orthogonal projections of the prolonged hats onto the kernel of
+the quasi-interpolation, x = p - A^-1 C'(C A^-1 C')^-1 C p
+(SaddleFactorization.project), a column per interior node, whose transposed
+dense block is the corrector matrix.  The same projection of the fine
+solution u is its part in the kernel, so u minus it is the Galerkin solution
+with the global correctors: the harness computes global rows that way, with
+no corrector set or basis.  The multiscale basis B = P - M' and its products
+are sparse.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -51,10 +51,6 @@ from .mesh import element_patch, patch_classes
 # dofs; the dense stack is 4.5x faster at 87 dofs and SuperLU 7x faster at
 # 1125.
 _DENSE_MAX_DOFS = 300
-# Correctors of at least this density give a dense basis B = P - M' and a
-# dense S B, which then take no more memory than their CSR forms (8 against
-# 12 bytes per stored entry).
-_DENSE_PRODUCT_DENSITY = 2 / 3
 # Patch stiffness bytes per dense stack.  On patch-small, stacks of 8 and 16
 # MiB raised peak RSS by 11% and 30% and saved no time.
 _STACK_BYTES = 2 ** 21
@@ -71,20 +67,20 @@ class CorrectorSet:
 class MultiscaleSpace:
     """Modified coarse basis and the assembled coarse systems."""
 
-    basis: np.ndarray | sparse.csr_matrix  # (n_fine_interior, n_coarse_interior)
+    basis: sparse.csr_matrix     # (n_fine_interior, n_coarse_interior)
     gram: sparse.csr_matrix      # a(b_a, b_b)
     gram_pg: sparse.csr_matrix   # a(b_a, hat_b): coarse hats as test functions
     load: np.ndarray             # (f, b_a)
     load_pg: np.ndarray          # (f, hat_a)
 
 
-def _global_correctors(hierarchy, ops, interp, nodes, tol, where):
-    """Whole-domain correctors of the coarse interior dofs `nodes` (columns):
-    the A-orthogonal projections of their hats onto the kernel of the
-    quasi-interpolation; a failure is named by `where`."""
+def _kernel_projection(ops, interp, p, tol, where):
+    """The A-orthogonal projections of the fine columns `p` (sparse or dense,
+    or one vector) onto the kernel of the quasi-interpolation, solved on the
+    whole domain; a failure is named by `where`."""
     try:
         x, _ = SaddleFactorization(ops.stiffness_coeff, interp.matrix).project(
-            hierarchy.prolongation_interior[:, nodes], tol)
+            p, tol)
     except SolverFailure as exc:
         raise SolverFailure(f"{where}: {exc}", residual=exc.residual) from exc
     return x
@@ -309,36 +305,21 @@ def _merge(blocks, shape):
     return matrix
 
 
-def _column_rows(X):
-    """CSR matrix whose row i is column i of the dense block X, exact zeros
-    dropped: _merge of X as one block, without its per-row merge.  X is read
-    16 columns at a time, as one contiguous copy of their transpose."""
-    counts = np.count_nonzero(X, axis=0)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    for start in range(0, X.shape[1], 16):
-        for i, row in enumerate(X[:, start:start + 16].T.copy(), start):
-            span = slice(indptr[i], indptr[i + 1])
-            indices[span] = np.flatnonzero(row)
-            data[span] = row[indices[span]]
-    return sparse.csr_matrix((data, indices, indptr), shape=X.shape[::-1])
-
-
 def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
                            threads=1):
     """Correctors for every coarse interior node at patch order `order`.
 
     A patch order k sums per-element solves on order-k patches (at most the
     node's star size per node, in ascending element order).  order=None is
-    the unbounded patch, the global correctors: one whole-domain solve for
-    all nodes, whose dense columns become the rows of the matrix.
+    the unbounded patch, the global correctors: one whole-domain projection
+    of all hats, whose dense columns are the rows of the matrix (exact
+    zeros, of either sign, not stored).
     """
     coarse = hierarchy.coarse
     if order is None:
-        return CorrectorSet(matrix=_column_rows(_global_correctors(
-            hierarchy, ops, interp, np.arange(coarse.n_interior), tol,
-            "global correctors")))
+        return CorrectorSet(matrix=sparse.csr_matrix(_kernel_projection(
+            ops, interp, hierarchy.prolongation_interior, tol,
+            "global correctors").T))
     blocks = _localized_blocks(hierarchy, ops, interp, order, tol, threads)
     return CorrectorSet(matrix=_merge(
         blocks, (coarse.n_interior, hierarchy.fine.n_interior)))
@@ -347,20 +328,13 @@ def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
 def build_multiscale_space(hierarchy, ops, correctors):
     """Modified basis b_a = hat_a - phi_a and its coarse systems.
 
-    Dense correctors (as the global ones are) give a dense basis B and a
-    dense S B, sparse ones sparse B and S B.  The corrector matrix is let go
-    once B exists, so a caller that passes `correctors` without keeping it
-    does not hold it while S B is formed.
+    The corrector matrix is let go once B exists, so a caller that passes
+    `correctors` without keeping it does not hold it while S B is formed.
     """
     P = hierarchy.prolongation_interior
     M = correctors.matrix
     del correctors
-    if M.nnz < _DENSE_PRODUCT_DENSITY * M.shape[0] * M.shape[1]:
-        B = (P - M.T).tocsr()
-    else:
-        B = P.toarray()
-        for start in range(0, M.shape[0], 16):
-            B[:, start:start + 16] -= M[start:start + 16].toarray().T
+    B = (P - M.T).tocsr()
     del M
     SB = ops.stiffness_coeff @ B
     return MultiscaleSpace(

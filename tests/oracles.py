@@ -10,7 +10,7 @@ only the tests use.
 
 import numpy as np
 
-from lodfem import fem, lod
+from lodfem import fem, harness, lod
 
 # Degree-5 Gauss rule on the reference triangle (barycentric points, weights
 # summing to 1).
@@ -209,8 +209,25 @@ def error_vs_function(mesh, u_full, u_exact, grad_exact):
 def global_corrector(hierarchy, ops, interp, node, tol=1e-10):
     """Whole-domain corrector of the coarse interior vertex `node`."""
     dof = hierarchy.coarse.interior_index[node]
-    return lod._global_correctors(hierarchy, ops, interp, [dof], tol,
-                                  f"global corrector at node {node}")[:, 0]
+    return lod._kernel_projection(ops, interp,
+                                  hierarchy.prolongation_interior[:, [dof]],
+                                  tol, f"global corrector at node {node}")[:, 0]
+
+
+def diagonal_orders(cfg, diagonal):
+    """Observed H1 orders between consecutive (coarse size, patch order)
+    pairs of `diagonal`, each row solved alone against the config's fine
+    reference, as ErrorReport.fill_orders computes them at one order."""
+    _, ops = harness._problem(cfg)
+    u_ref = fem.solve_reference(ops, cfg.tol)
+    errors = []
+    for coarse_n, order in diagonal:
+        hier, interp = harness._hierarchy(cfg, coarse_n)
+        errs, _, _ = harness._solve_level(cfg, hier, ops, interp, u_ref,
+                                          order, order)
+        errors.append((coarse_n, errs[1]))
+    return [float(np.log(e0 / e1) / np.log(n1 / n0))
+            for (n0, e0), (n1, e1) in zip(errors, errors[1:])]
 
 
 def node_star(mesh, a):

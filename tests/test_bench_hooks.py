@@ -22,7 +22,7 @@ CONFIG = ("fine_n = 16\ncoarse_n = 4\nlevels = 1\nrhs = x\n"
 EXPECTED = {
     "localized": {"linalg.SaddleFactorization", "mesh.element_patch",
                   "fem.apply_subset_stiffness", "lod.assemble_corrector_set"},
-    "global": {"linalg.SaddleFactorization", "lod.assemble_corrector_set"},
+    "global": {"linalg.SaddleFactorization"},
 }
 
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lodfem import ConfigError, ExperimentConfig, lod, parse_config, \
+from lodfem import ConfigError, ExperimentConfig, linalg, lod, parse_config, \
     serialize_config
 from lodfem.cli import main
 from lodfem.config import DESK_PRESET, MODES, PAPER_PRESET, RHS_NAMES, \
     TIMING_MODES
 from lodfem.harness import CSV_HEADER, run_coeff_export, run_convergence, \
     run_decay, run_solve
+
+import oracles
 
 
 def cfg(**kw):
@@ -207,30 +209,38 @@ def test_global_and_petrov_modes():
 
 
 def test_global_correctors_assembled_once_per_coarse_size(monkeypatch):
-    calls = []
-    assemble = lod.assemble_corrector_set
+    """A global sweep assembles no corrector set: each coarse size makes one
+    constrained projection, of the reference solution, whose row every
+    positive level shares."""
+    projected = []
 
-    def counting(hier, *args, **kwargs):
-        calls.append(hier.coarse.cells_per_side)
-        return assemble(hier, *args, **kwargs)
+    def assembling(*args, **kwargs):
+        raise AssertionError("a global sweep assembles no corrector set")
 
-    spaces = []
-    build_space = lod.build_multiscale_space
+    project = linalg.SaddleFactorization.project
 
-    def counting_spaces(hier, *args, **kwargs):
-        spaces.append(hier.coarse.cells_per_side)
-        return build_space(hier, *args, **kwargs)
+    def counting_project(self, p, *args, **kwargs):
+        projected.append((self.m, np.shape(p)))
+        return project(self, p, *args, **kwargs)
 
-    monkeypatch.setattr(lod, "assemble_corrector_set", counting)
-    monkeypatch.setattr(lod, "build_multiscale_space", counting_spaces)
+    monkeypatch.setattr(lod, "assemble_corrector_set", assembling)
+    monkeypatch.setattr(linalg.SaddleFactorization, "project", counting_project)
     report = run_convergence(cfg(fine_n=32, coarse_n=(4, 8), levels=(1, 2),
                                  mode="global"))
-    assert calls == [4, 8]
-    # one space for level 0 and one for the shared global set
-    assert spaces == [4, 4, 8, 8]
+    # one projection per coarse size, of one fine vector, with the 9 and 49
+    # coarse interior nodes as constraints
+    assert projected == [(9, (31 * 31,)), (49, (31 * 31,))]
     errors = {(r.coarse_n, r.level): (r.err_l2, r.err_h1, r.err_energy)
               for r in report.rows}
     assert errors[4, 1] == errors[4, 2] and errors[8, 1] == errors[8, 2]
+
+
+def test_h1_rate_along_the_log_order_diagonal():
+    """Where the patch order grows like log(1/H), as the paper's estimate
+    asks, the desk problem converges at first order in H1: (4,1) -> (8,2)
+    -> (16,3) observes order_h1 of at least 0.8 on each step."""
+    orders = oracles.diagonal_orders(DESK_PRESET, [(4, 1), (8, 2), (16, 3)])
+    assert len(orders) == 2 and min(orders) >= 0.8, orders
 
 
 def test_rhs_selector_one():
@@ -349,6 +359,26 @@ def test_failed_row_says_why(tmp_path, monkeypatch, capsys):
     assert np.isfinite(float(rows[0][2])) and rows[1][2:5] == ["nan"] * 3
     assert capsys.readouterr().err == (
         "row coarse_n=4 level=1 failed: corrector patch of element 7: forced\n")
+
+
+def test_failed_global_row_says_why(tmp_path, monkeypatch, capsys):
+    """A projection that fails in global mode gives NaN rows for the levels
+    that share it, its reason on stderr once, and exit code 2."""
+    def failing(*args, **kwargs):
+        raise lod.SolverFailure("forced")
+
+    monkeypatch.setattr(linalg.SaddleFactorization, "project", failing)
+    config = tmp_path / "run.cfg"
+    config.write_text("fine_n = 16\ncoarse_n = 4\nlevels = 1,2\nmode = global\n"
+                      "coeff_cell = 8\ntimings = off\n")
+    out = tmp_path / "run.csv"
+    assert main(["convergence", "--config", str(config), "--out", str(out)]) == 2
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["4", "0"], ["4", "1"], ["4", "2"]]
+    assert np.isfinite(float(rows[0][2]))
+    assert rows[1][2:5] == rows[2][2:5] == ["nan"] * 3
+    assert capsys.readouterr().err == (
+        "row coarse_n=4 level=1 failed: global projection: forced\n")
 
 
 def test_failed_solve_row_exits_2(tmp_path, monkeypatch, capsys):

@@ -7,8 +7,8 @@ import scipy.linalg as sla
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
-from lodfem import fem, linalg, lod
-from lodfem import SolverFailure, build_interpolation, \
+from lodfem import fem, harness, linalg, lod
+from lodfem import ExperimentConfig, SolverFailure, build_interpolation, \
     build_multiscale_space, build_uniform_mesh, build_operators, \
     element_patch, error_norms, make_checkerboard, make_constant, \
     measure_corrector_decay, refine_hierarchy, solve_multiscale, \
@@ -459,36 +459,23 @@ def test_failing_later_member_names_its_element(monkeypatch):
         f"corrector patch of element {failing[0]}: ")
 
 
-def test_dense_coarse_products_match_sparse(problem):
-    """With the global correctors SB is dense; B'SB from its dense copy
-    agrees with the sparse product to 1e-13 relative, and P'SB equals it."""
-    hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, order=None)
-    space = build_multiscale_space(hier, ops, cs)
-    P = hier.prolongation_interior
-    B = (P - cs.matrix.T).tocsr()
-    SB = ops.stiffness_coeff @ B
-    assert SB.nnz >= lod._DENSE_PRODUCT_DENSITY * np.prod(SB.shape)
-    gram, expected = space.gram.toarray(), (B.T @ SB).toarray()
-    assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
-    assert np.array_equal(space.gram_pg.toarray(), (P.T @ SB).toarray())
-
-
-def test_global_csr_is_the_merge_of_its_dense_block(problem):
-    """The global corrector matrix is built straight from the dense solve,
-    row i from column i, and equals _merge of that block in every CSR
-    array, with exact zeros dropped."""
+def test_global_csr_is_the_merge_of_its_dense_block(problem, monkeypatch):
+    """The global corrector matrix is built straight from the dense
+    projection of the hats, row i from column i, and equals _merge of that
+    block in every CSR array, exact zeros of either sign dropped."""
     hier, ops, interp = problem
     shape = (hier.coarse.n_interior, hier.fine.n_interior)
-    X = lod._global_correctors(hier, ops, interp, np.arange(shape[0]), 1e-10,
+    X = lod._kernel_projection(ops, interp, hier.prolongation_interior, 1e-10,
                                "global correctors")
     matrix = assemble_corrector_set(hier, ops, interp, order=None).matrix
-    merged = lod._merge([(np.arange(shape[0]), np.arange(shape[1]), X)], shape)
-    X[[5, 40], [2, 3]] = 0.0, -0.0
-    direct = lod._column_rows(X)
-    assert direct.nnz == merged.nnz - 2
-    for got, expected in ((matrix, merged), (direct, lod._merge(
-            [(np.arange(shape[0]), np.arange(shape[1]), X)], shape))):
+    zeroed = X.copy()
+    zeroed[[5, 40], [2, 3]] = 0.0, -0.0
+    monkeypatch.setattr(lod, "_kernel_projection", lambda *args: zeroed)
+    direct = assemble_corrector_set(hier, ops, interp, order=None).matrix
+    merged = [lod._merge([(np.arange(shape[0]), np.arange(shape[1]), block)],
+                         shape) for block in (X, zeroed)]
+    assert direct.nnz == merged[0].nnz - 2
+    for got, expected in zip((matrix, direct), merged):
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(expected, name))
 
@@ -519,64 +506,64 @@ def test_global_correctors_solve_no_right_hand_side(problem, monkeypatch):
     monkeypatch.setattr(linalg.spla, "splu",
                         lambda *args, **kwargs: Counted(splu(*args, **kwargs)))
     monkeypatch.setattr(linalg.SaddleFactorization, "_apply", counted_apply)
-    nodes = np.arange(hier.coarse.n_interior)
-    x = lod._global_correctors(hier, ops, interp, nodes, 1e-10, "global")
+    P = hier.prolongation_interior
+    x = lod._kernel_projection(ops, interp, P, 1e-10, "global")
     assert sum(solved) == interp.matrix.shape[0] + sum(refined)
     monkeypatch.undo()
     S = ops.stiffness_coeff
-    expected, _ = linalg.SaddleFactorization(S, interp.matrix).solve(
-        S @ hier.prolongation_interior[:, nodes])
+    expected, _ = linalg.SaddleFactorization(S, interp.matrix).solve(S @ P)
     assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def test_dense_basis_is_the_column_scatter():
-    """With more coarse nodes than one block of 16, the global corrector CSR
-    equals _merge of the dense solve, and the dense basis B = P - M',
-    formed 16 correctors at a time, has the bits of subtracting each
-    corrector's stored entries from its own column."""
-    hier = refine_hierarchy(build_uniform_mesh(8), 2)
-    ops = build_operators(hier.fine, make_checkerboard(32, 20.0, 3, hier.fine),
+def _global_row(fine_n, coarse_n, contrast, seed):
+    """Hierarchy, operators, reference solution and the harness's global
+    row (errors, count, solution) of one checkerboard problem."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            int(np.log2(fine_n // coarse_n)))
+    ops = build_operators(hier.fine,
+                          make_checkerboard(fine_n, contrast, seed, hier.fine),
                           lambda x, y: x)
     interp = build_interpolation(hier)
-    shape = (hier.coarse.n_interior, hier.fine.n_interior)
-    assert shape[0] > 2 * 16
-    X = lod._global_correctors(hier, ops, interp, np.arange(shape[0]), 1e-10,
-                               "global correctors")
-    M = lod._column_rows(X)
-    merged = lod._merge([(np.arange(shape[0]), np.arange(shape[1]), X)], shape)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(M, name), getattr(merged, name))
-    expected = hier.prolongation_interior.toarray()
-    for i, (start, end) in enumerate(zip(M.indptr, M.indptr[1:])):
-        expected[M.indices[start:end], i] -= M.data[start:end]
-    B = build_multiscale_space(hier, ops, CorrectorSet(M)).basis
-    assert isinstance(B, np.ndarray)
-    assert np.array_equal(B.view(np.int64), expected.view(np.int64))
+    u_ref = solve_reference(ops)
+    row = harness._solve_level(ExperimentConfig(fine_n=fine_n), hier, ops,
+                               interp, u_ref, 1, None)
+    return hier, ops, interp, u_ref, row
+
+
+@settings(max_examples=10)
+@given(fine_n=st.sampled_from([16, 32]), coarse_n=st.sampled_from([4, 8]),
+       log_contrast=st.floats(0.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_global_row_is_the_galerkin_solution(fine_n, coarse_n, log_contrast,
+                                             seed):
+    """The harness's global row, u_ref less its kernel projection, equals
+    the Galerkin solution on the space of the assembled global correctors
+    to 1e-10 relative, in the solution and in each error norm."""
+    hier, ops, interp, u_ref, (errors, count, u_row) = _global_row(
+        fine_n, coarse_n, 10.0 ** log_contrast, seed)
+    assert count == hier.coarse.n_interior
+    cs = assemble_corrector_set(hier, ops, interp, order=None)
+    _, u_ms = solve_multiscale(build_multiscale_space(hier, ops, cs))
+    assert np.linalg.norm(u_row - u_ms) <= 1e-10 * np.linalg.norm(u_ms)
+    for got, expected in zip(errors, error_norms(u_ms, u_ref, ops)):
+        assert abs(got - expected) <= 1e-10 * expected
 
 
 @pytest.mark.parametrize("coarse_n", [8, 16])
-def test_global_space_memory_peak(coarse_n):
-    """Global correctors and their multiscale space, with the corrector set
-    passed on and not kept, hold at most 3.9 (coarse 8) and 2.75 (coarse 16)
-    dense n_fine_interior x n_coarse_interior arrays' worth of memory at
-    once.  The corrector CSR is let go before S B is formed; at coarse 8 the
-    peak is Y and the solution with the residual blocks of the acceptance
-    test, each a third of an array there."""
-    arrays = {8: 3.9, 16: 2.75}[coarse_n]
-    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(64 // coarse_n)))
-    ops = build_operators(hier.fine, make_checkerboard(64, 20.0, 10, hier.fine),
-                          lambda x, y: x)
-    interp = build_interpolation(hier)
+def test_global_row_memory_peak(coarse_n):
+    """The global row at fine 64 holds at most 1.9 (coarse 8) and 1.3
+    (coarse 16) dense n_fine_interior x n_coarse_interior arrays' worth of
+    memory at once: Y = A^-1 C' of its projection and the column blocks
+    that form it."""
+    arrays = {8: 1.9, 16: 1.3}[coarse_n]
+    hier, ops, interp, u_ref, _ = _global_row(64, coarse_n, 20.0, 10)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        # passed on, not kept, as the harness does
-        build_multiscale_space(hier, ops, assemble_corrector_set(
-            hier, ops, interp, order=None))
+        harness._solve_level(ExperimentConfig(fine_n=64), hier, ops, interp,
+                             u_ref, 1, None)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
