@@ -85,7 +85,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.decay_factors, self.decay_factors[1:])):
             raise ConfigError(
                 f"decay_factors must be strictly increasing, got {self.decay_factors}")
-        if self.decay_node != "center" and not self.decay_node.isdigit():
+        node = self.decay_node
+        if node != "center" and not (node.isascii() and node.isdecimal()):
             raise ConfigError("decay_node must be 'center' or a coarse vertex id")
         return self
 

@@ -245,8 +245,8 @@ def run_decay(cfg):
     node = _decay_node(cfg, hier.coarse)
     dof = hier.coarse.interior_index[node]
     phi = lod._kernel_projection(
-        ops, interp, hier.prolongation_interior[:, [dof]], cfg.tol,
-        f"global corrector at node {node}")[:, 0]
+        ops, interp, hier.prolongation_interior[:, dof].toarray().ravel(),
+        cfg.tol, f"global corrector at node {node}")
 
     spacing = 1.0 / coarse_n
     factors = cfg.decay_factors or tuple(

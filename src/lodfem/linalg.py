@@ -19,22 +19,20 @@ transpose bit for bit (as the fine stiffness does), and its default pivoted
 ordering otherwise (as for the Petrov-Galerkin matrix).  The A-orthogonal
 projection of p onto the kernel of C, x = p - A^-1 C'(C A^-1 C')^-1 C p, is
 the solve of b = A p; `project` starts that solve from u = A^-1 b = p, so
-that it does no A-solve of its right-hand sides.  A
-stack of small dense SPD systems, A of shape (P, n, n) with C of shape
-(P, m, n), is the batched case: LAPACK Cholesky factors each A and each S,
-and every step below works on the whole stack at once.  Many right-hand
-sides are worked through in blocks of about _BLOCK_BYTES per system: columns
-for the A-solves and the residual, rows for the update x = u - Y mu, so that
-a solve holds only Y and x whole, and a sparse block of right-hand sides is
-never made dense whole.  The kernel polishes with iterative refinement;
-one per-column acceptance test decides both which columns are refined and
-whether the solve succeeds.  There is one failure type: a factorization
-that fails, or a solve that misses the test, raises SolverFailure; a missed
-solve carries the achieved residual, and a stack names its failing system.
-Solves are pure functions of their inputs, so repeated or concurrent calls
-on shared immutable matrices are deterministic, and each system of a stack
-gets the same bits whatever else is stacked with it up to refinement, which
-visits the columns that fail in any system of the stack.
+that it does no A-solve of its right-hand sides.  A stack of small dense SPD
+systems, A of shape (P, n, n) with C of shape (P, m, n), is the batched
+case: LAPACK Cholesky factors each A and each S, and every step below works
+on the whole stack at once.  Right-hand sides are dense and worked on whole;
+only Y = A^-1 C' is solved in column blocks (see _BLOCK_BYTES).  The kernel
+polishes with iterative refinement; one per-column acceptance test decides
+both which columns are refined and whether the solve succeeds.  There is one
+failure type: a factorization that fails, or a solve that misses the test,
+raises SolverFailure; a missed solve carries the achieved residual, and a
+stack names its failing system.  Solves are pure functions of their inputs,
+so repeated or concurrent calls on shared immutable matrices are
+deterministic, and each system of a stack gets the same bits whatever else
+is stacked with it up to refinement, which visits the columns that fail in
+any system of the stack.
 """
 
 import numpy as np
@@ -43,13 +41,10 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 _REFINE_STEPS = 2
-# A solve with many right-hand sides works in blocks of about _BLOCK_BYTES
-# per system and of at least _MIN_BLOCK_COLUMNS columns.  SuperLU copies the
-# right-hand sides it is given and allocates as much again for work, so the
-# A-solves and the residual take the columns a block at a time, and the
-# update x = u - Y mu takes the rows a block at a time.  On the global system
-# at fine 128, SuperLU solves 8 columns at a time about 1.6 times faster per
-# column than 2.
+# SuperLU forms Y = A^-1 C' in column blocks of about _BLOCK_BYTES and at
+# least _MIN_BLOCK_COLUMNS columns, as it copies its right-hand sides and
+# allocates as much again for work.  On the global system at fine 128 it
+# solves 8 columns at a time about 1.6 times faster per column than 2.
 _BLOCK_BYTES = 2 ** 19
 _MIN_BLOCK_COLUMNS = 8
 
@@ -108,34 +103,25 @@ def _cho_solve(L, B):
 
 
 def _column_blocks(B):
-    """Column slices of the right-hand sides B (..., n, k), sparse or dense,
-    in blocks of about _BLOCK_BYTES per system and at least
+    """Column slices of B (n, k) in blocks of about _BLOCK_BYTES and at least
     _MIN_BLOCK_COLUMNS columns (fewer only if B has fewer)."""
-    n, k = B.shape[-2:]
+    n, k = B.shape
     width = max(_MIN_BLOCK_COLUMNS, _BLOCK_BYTES // (8 * n))
     count = max(1, k // width)
     bounds = [k * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _columns(B, cols=None):
-    """Dense columns `cols` (all by default) of the right-hand sides B,
-    sparse or dense."""
-    if cols is None:
-        return B.toarray() if sparse.issparse(B) else B
-    return B[:, cols].toarray() if sparse.issparse(B) else B[..., cols]
-
-
-def _solve_columns(solve, B):
-    """solve(B) for right-hand sides B (..., n, k), sparse or dense, a
-    column block at a time.  Solved in blocks, the result is C-ordered,
-    since scipy's sparse products copy a dense operand that is not."""
+def _solve_sparse_columns(solve, B):
+    """solve(B) for the sparse B (n, k), made dense a column block at a
+    time; the result of more than one block is C-ordered, as scipy's sparse
+    products would copy a dense operand that is not."""
     blocks = _column_blocks(B)
     if len(blocks) == 1:
-        return solve(_columns(B))
+        return solve(B.toarray())
     X = np.empty(B.shape)
     for cols in blocks:
-        X[:, cols] = solve(_columns(B, cols))
+        X[:, cols] = solve(B[:, cols].toarray())
     return X
 
 
@@ -173,23 +159,20 @@ class SaddleFactorization:
                 raise SolverFailure(f"factorization failed: {exc}") from exc
             self._solve_A = lu.solve
         if self.m:
-            self._Y = _solve_columns(self._solve_A, self.Ct)
+            self._Y = self._solve_A(self.Ct) if isinstance(A, np.ndarray) \
+                else _solve_sparse_columns(self._solve_A, self.Ct)
             schur = _cholesky(self.C @ self._Y)
             self._solve_S = lambda r: _cho_solve(schur, r)
 
     def _apply(self, r, q, u=None):
-        """(x, mu) solving A x + C'mu = r, C x = q, column by column; r may
-        be sparse.  x is formed in place of u = A^-1 r, or of the dense `u`
-        a caller passes when it already knows A^-1 r."""
+        """(x, mu) solving A x + C'mu = r, C x = q, x formed in place of
+        u = A^-1 r, or of the `u` a caller passes when it knows A^-1 r."""
         if u is None:
-            u = _solve_columns(self._solve_A, r)
+            u = self._solve_A(r)
         if self.m == 0:
             return u, np.zeros(q.shape)
         mu = self._solve_S(self.C @ u - q)
-        step = max(1, _BLOCK_BYTES // (8 * mu.shape[-1]))
-        for start in range(0, self.n, step):
-            rows = (..., slice(start, start + step), slice(None))
-            u[rows] -= self._Y[rows] @ mu
+        u -= self._Y @ mu
         return u, mu
 
     def _residual(self, B, x, mu):
@@ -198,31 +181,23 @@ class SaddleFactorization:
 
     def _test(self, B, x, mu, tol):
         """Columns failing the acceptance test, with their stationarity and
-        feasibility residual norms; the residual is formed a column block at
-        a time (see _column_blocks)."""
-        norms = []
-        for cols in _column_blocks(B):
-            b = _columns(B, cols)
-            r, q = self._residual(b, x[..., cols], mu[..., cols])
-            norms.append([np.linalg.norm(v, axis=-2)
-                          for v in (r, q, x[..., cols], b)])
-        stat, feas, x_norm, b_norm = (np.concatenate(v, axis=-1)
-                                      for v in zip(*norms))
+        feasibility residual norms."""
+        stat, feas, x_norm, b_norm = (np.linalg.norm(v, axis=-2) for v in
+                                      (*self._residual(B, x, mu), x, B))
         failed = ~(np.isfinite(stat) & np.isfinite(feas)) \
             | (stat > tol * b_norm) | (feas > tol * np.maximum(1.0, x_norm))
         return failed, stat, feas
 
     def solve(self, b, tol=1e-10):
-        """Solve for one right-hand side (n,) or a block of them (n, k).
+        """Solve for one dense right-hand side (n,) or a block of them (n, k).
 
-        A block may be scipy sparse; it is then made dense a column block at
-        a time, never whole.  A stack takes (P, n) or (P, n, k).  A column is
-        accepted when its stationarity residual is at most tol ||b|| and its
-        feasibility residual at most tol max(1, ||x||), both finite.  The
-        columns that fail this test in any system are refined, at most
-        _REFINE_STEPS times, and each system keeps the correction of the
-        columns it failed; any column still failing raises SolverFailure.
-        x and mu come back with b's number of columns.
+        A stack takes (P, n) or (P, n, k).  A column is accepted when its
+        stationarity residual is at most tol ||b|| and its feasibility
+        residual at most tol max(1, ||x||), both finite.  The columns that
+        fail this test in any system are refined, at most _REFINE_STEPS
+        times, and each system keeps the correction of the columns it
+        failed; any column still failing raises SolverFailure.  x and mu come
+        back with b's number of columns.
         """
         B, q, single = self._block(b)
         x, mu = self._apply(B, q)
@@ -232,34 +207,26 @@ class SaddleFactorization:
         """A-orthogonal projection x = p - A^-1 C'(C A^-1 C')^-1 C p of p
         onto the kernel of C, with its multiplier mu.
 
-        This is the solve of b = A p (kept sparse when p is), started from
-        u = p in place of u = A^-1 b, so that only the constraints are
-        solved for: mu = S^-1 C p and x = p - Y mu.  p takes the shapes b
-        does in `solve`, and x is then accepted, refined (with A-solves of
-        the residual) or rejected as there.
+        This is the solve of b = A p, started from u = p in place of
+        u = A^-1 b, so that only the constraints are solved for:
+        mu = S^-1 C p and x = p - Y mu.  p takes the shapes b does in
+        `solve`, and x is then accepted, refined (with A-solves of the
+        residual) or rejected as there.
         """
         P, q, single = self._block(p)
         B = self.A @ P
-        if sparse.issparse(B):
-            B = B.tocsc()
-        # C-ordered, as a block solve's u is: scipy's sparse products copy a
-        # dense operand that is not
-        u = P.toarray(order="C") if sparse.issparse(P) else P.copy()
-        x, mu = self._apply(B, q, u)
+        x, mu = self._apply(B, q, P.copy())
         return self._refined(B, x, mu, tol, single)
 
     def _block(self, b):
-        """The right-hand sides `b` as a block B (..., n, k), sparse as CSC,
-        zero constraint right-hand sides q for it, and whether `b` was a
-        single column."""
+        """The right-hand sides `b` as a block B (..., n, k), zero constraint
+        right-hand sides q for it, and whether `b` was a single column."""
         lead = self.A.shape[:-2]  # (P,) for a stack, () otherwise
-        if not sparse.issparse(b):
-            b = np.asarray(b, dtype=float)
+        b = np.asarray(b, dtype=float)
         if b.ndim - len(lead) not in (1, 2) or \
-                b.shape[:len(lead) + 1] != (*lead, self.n) or \
-                (sparse.issparse(b) and (lead or b.ndim != 2)):
+                b.shape[:len(lead) + 1] != (*lead, self.n):
             raise ValueError(f"shape mismatch: system size {self.n}, rhs {b.shape}")
-        B = b.tocsc() if sparse.issparse(b) else b.reshape(*lead, self.n, -1)
+        B = b.reshape(*lead, self.n, -1)
         return B, np.zeros((*lead, self.m, B.shape[-1])), \
             b.ndim == len(lead) + 1
 
@@ -273,8 +240,7 @@ class SaddleFactorization:
                 break
             cols = failed.reshape(-1, failed.shape[-1]).any(axis=0)
             sub, keep = (..., cols), failed[..., None, cols]
-            dx, dmu = self._apply(*self._residual(_columns(B, cols),
-                                                  x[sub], mu[sub]))
+            dx, dmu = self._apply(*self._residual(B[sub], x[sub], mu[sub]))
             x[sub] = np.where(keep, x[sub] + dx, x[sub])
             mu[sub] = np.where(keep, mu[sub] + dmu, mu[sub])
 

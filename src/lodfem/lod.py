@@ -35,6 +35,7 @@ no corrector set or basis.  The multiscale basis B = P - M' and its products
 are sparse.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -75,9 +76,9 @@ class MultiscaleSpace:
 
 
 def _kernel_projection(ops, interp, p, tol, where):
-    """The A-orthogonal projections of the fine columns `p` (sparse or dense,
-    or one vector) onto the kernel of the quasi-interpolation, solved on the
-    whole domain; a failure is named by `where`."""
+    """The A-orthogonal projections of the dense fine columns `p` (or of one
+    vector) onto the kernel of the quasi-interpolation, solved on the whole
+    domain; a failure is named by `where`."""
     try:
         x, _ = SaddleFactorization(ops.stiffness_coeff, interp.matrix).project(
             p, tol)
@@ -270,10 +271,13 @@ def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
     # window at a time: drawn all at once they raised patch-large's peak RSS
     # by about 2%.  One thread stays off the pool: a 1-worker pool raised
     # patch-small's by about 6%, most likely from the worker's malloc arena.
-    if threads > 1:
+    # Workers past the CPUs the process may use would only add OS threads.
+    workers = min(threads, len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if workers > 1:
         solved = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while window := list(islice(stacks, 16 * threads)):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            while window := list(islice(stacks, 16 * workers)):
                 solved += pool.map(solver.solve, window)
     else:
         solved = list(map(solver.solve, stacks))
@@ -312,13 +316,14 @@ def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
     A patch order k sums per-element solves on order-k patches (at most the
     node's star size per node, in ascending element order).  order=None is
     the unbounded patch, the global correctors: one whole-domain projection
-    of all hats, whose dense columns are the rows of the matrix (exact
-    zeros, of either sign, not stored).
+    of the dense block of all hats, whose columns are the rows of the matrix
+    (exact zeros, of either sign, not stored); it holds about six such
+    dense blocks at once.
     """
     coarse = hierarchy.coarse
     if order is None:
         return CorrectorSet(matrix=sparse.csr_matrix(_kernel_projection(
-            ops, interp, hierarchy.prolongation_interior, tol,
+            ops, interp, hierarchy.prolongation_interior.toarray(), tol,
             "global correctors").T))
     blocks = _localized_blocks(hierarchy, ops, interp, order, tol, threads)
     return CorrectorSet(matrix=_merge(

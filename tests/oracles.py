@@ -209,9 +209,9 @@ def error_vs_function(mesh, u_full, u_exact, grad_exact):
 def global_corrector(hierarchy, ops, interp, node, tol=1e-10):
     """Whole-domain corrector of the coarse interior vertex `node`."""
     dof = hierarchy.coarse.interior_index[node]
-    return lod._kernel_projection(ops, interp,
-                                  hierarchy.prolongation_interior[:, [dof]],
-                                  tol, f"global corrector at node {node}")[:, 0]
+    hat = hierarchy.prolongation_interior[:, dof].toarray().ravel()
+    return lod._kernel_projection(ops, interp, hat, tol,
+                                  f"global corrector at node {node}")
 
 
 def diagonal_orders(cfg, diagonal):

@@ -319,7 +319,10 @@ def test_cli_missing_config_file():
     ("convergence", "fine_n = 64\ncoarse_n = 8\ncoeff_cell = 48\n", []),
     ("convergence", "fine_n = 16\ncoarse_n = 4\ncoeff_kind = periodic\n"
                     "coeff_amplitude = 0.5\n", []),
-    ("decay", "fine_n = 16\ncoarse_n = 4\ndecay_node = 99999\n", []),
+    ("decay", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n"
+              "decay_node = 99999\n", []),
+    ("decay", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n"
+              "decay_node = \u00b2\n", []),
     ("coeff-export", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n",
      ["--out", "c.txt", "--threads", "0"]),
     ("decay", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n"
@@ -330,7 +333,8 @@ def test_cli_missing_config_file():
     ("solve", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\ntol = nan\n", []),
     ("convergence", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n"
                     "coeff_contrast = inf\n", []),
-], ids=["coeff_cell", "coeff_amplitude", "decay_node", "threads_zero",
+], ids=["coeff_cell", "coeff_amplitude", "decay_node",
+        "decay_node_superscript_digit", "threads_zero",
         "decay_factors_unordered", "coarse_n_repeated", "levels_repeated",
         "tol_nan", "contrast_inf"])
 def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,

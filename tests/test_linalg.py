@@ -175,19 +175,13 @@ def test_refinement_fixes_columns_that_fail_acceptance(monkeypatch):
     np.testing.assert_allclose(x[1:], 0.5, rtol=1e-12)
 
 
-@pytest.mark.parametrize("rhs", [np.asarray, sparse.csr_matrix])
-def test_refinement_of_columns_across_a_block_boundary(monkeypatch, rhs):
-    """With the residual formed a column block at a time, failed columns on
-    both sides of a block boundary are found, refined together and
-    accepted, and the other columns are left as they were; for a dense or
-    a sparse block of right-hand sides."""
-    monkeypatch.setattr(linalg, "_MIN_BLOCK_COLUMNS", 1)
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * 4 * 2)  # blocks of 2 columns
+def test_refinement_visits_only_failed_columns(monkeypatch):
+    """Failed columns of a block of right-hand sides are found, refined
+    together and accepted, and the other columns are left as they were."""
     A = csr(1e6 * np.eye(4))
     C = csr([[1.0, 0.0, 0.0, 0.0]])
     b = np.full((4, 4), 5e5) * np.arange(1.0, 5.0)
     fact = SaddleFactorization(A, C)
-    assert linalg._column_blocks(b) == [slice(0, 2), slice(2, 4)]
     apply, calls = fact._apply, []
 
     def columns_1_and_2_off_the_constraint(r, q):
@@ -199,7 +193,7 @@ def test_refinement_of_columns_across_a_block_boundary(monkeypatch, rhs):
         return x, mu
 
     monkeypatch.setattr(fact, "_apply", columns_1_and_2_off_the_constraint)
-    x, mu = fact.solve(rhs(b), tol=1e-10)
+    x, mu = fact.solve(b, tol=1e-10)
     assert calls == [4, 2]
     assert np.all(np.abs(x[0]) <= 1e-10)
     np.testing.assert_allclose(x[1:], b[1:] / 1e6, rtol=1e-12)
@@ -239,36 +233,32 @@ def test_stack_refines_the_columns_failing_in_any_system(monkeypatch):
 
 
 def test_solve_in_column_blocks(rng, monkeypatch):
-    """A solve with more columns than one block: on a diagonal system, where
-    no sum depends on how columns are grouped, each column equals its
-    one-column solve bit for bit; on a dense SPD system it agrees with the
-    one-block solve to round-off.  A sparse block of right-hand sides gives
-    the dense block's bits."""
-    n, k = 40, 9
-    monkeypatch.setattr(linalg, "_MIN_BLOCK_COLUMNS", 1)
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * n * 2)  # blocks of 2 columns
+    """On a diagonal system, where no sum depends on how columns are
+    grouped, each column of a block solve equals its one-column solve bit
+    for bit.  With Y = A^-1 C' formed in 3 column blocks, a solve equals
+    the one-block factorization's bit for bit on a diagonal A and to 1e-12
+    relative on an SPD A."""
+    n, k, m = 40, 9, 6
     A = sparse.diags(rng.uniform(1.0, 10.0, n)).tocsr()
     C = sparse.csr_matrix(([1.0, -2.0], ([0, 0], [3, 17])), shape=(1, n))
     b = rng.standard_normal((n, k))
     fact = SaddleFactorization(A, C)
-    assert len(linalg._column_blocks(b)) == 4
     x, mu = fact.solve(b)
     for j in range(k):
         xj, muj = fact.solve(b[:, j])
         assert np.array_equal(x[:, j], xj) and np.array_equal(mu[:, j], muj)
 
-    m = 5
-    A, C = csr(random_spd(rng, n)), csr(rng.standard_normal((m, n)))
-    b = sparse.random(n, k, density=0.3, random_state=1, format="csr")
-    x, mu = SaddleFactorization(A, C).solve(b)
-    dense_x, dense_mu = SaddleFactorization(A, C).solve(b.toarray())
-    assert np.array_equal(x, dense_x) and np.array_equal(mu, dense_mu)
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 2 ** 30)
-    whole_x, whole_mu = SaddleFactorization(A, C).solve(b.toarray())
-    np.testing.assert_allclose(x, whole_x, rtol=1e-12,
-                               atol=1e-12 * np.abs(whole_x).max())
-    np.testing.assert_allclose(mu, whole_mu, rtol=1e-12,
-                               atol=1e-12 * np.abs(whole_mu).max())
+    C = csr(rng.standard_normal((m, n)))
+    systems = [A, csr(random_spd(rng, n))]
+    whole = [SaddleFactorization(S, C).solve(b) for S in systems]
+    monkeypatch.setattr(linalg, "_MIN_BLOCK_COLUMNS", 1)
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * n * 2)  # blocks of 2 columns
+    assert len(linalg._column_blocks(C.T)) == 3
+    (x, mu), (spd_x, spd_mu) = (SaddleFactorization(S, C).solve(b)
+                                for S in systems)
+    assert np.array_equal(x, whole[0][0]) and np.array_equal(mu, whole[0][1])
+    assert_close(spd_x, whole[1][0], 1e-12)
+    assert_close(spd_mu, whole[1][1], 1e-12)
 
 
 def assert_close(got, expected, rtol):
@@ -283,16 +273,13 @@ def projection_problem(rng, n=30, m=6):
     return A.tocsr(), csr(rng.standard_normal((m, n)))
 
 
-@pytest.mark.parametrize("columns", ["one", "sparse block"])
+@pytest.mark.parametrize("columns", ["one", "dense block"])
 def test_project_is_the_solve_of_A_p(rng, columns):
     """project(p) agrees with solve(A @ p) to 1e-13 relative, x and mu, for
-    one column and for a sparse block of them; x is in the kernel of C."""
+    one column and for a block of 7; x is in the kernel of C."""
     A, C = projection_problem(rng)
-    if columns == "one":
-        p = rng.standard_normal(A.shape[0])
-    else:
-        p = sparse.random(A.shape[0], 7, density=0.2, random_state=3,
-                          format="csr")
+    p = rng.standard_normal(A.shape[0] if columns == "one"
+                            else (A.shape[0], 7))
     fact = SaddleFactorization(A, C)
     x, mu = fact.project(p)
     x_ref, mu_ref = fact.solve(A @ p)

@@ -123,17 +123,23 @@ def test_local_corrector_supported_in_patch(problem):
     assert np.any(phi != 0.0)
 
 
-def test_local_correctors_sum_to_global_at_saturation(problem):
-    hier, ops, interp = problem
-    l_sat = saturation_order(hier)
-    for node in hier.coarse.interior_vertices[:3]:
-        node = int(node)
-        total = np.zeros(hier.fine.n_interior)
-        for element in node_star(hier.coarse, node):
-            total += element_contribution(hier, ops, interp, node,
-                                          int(element), l_sat)
-        phi = global_corrector(hier, ops, interp, node)
-        assert energy(ops, total - phi) <= 1e-8
+@settings(max_examples=10)
+@given(fine_n=st.sampled_from([16, 32]), coarse_n=st.sampled_from([4, 8]),
+       log_contrast=st.floats(0.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_local_correctors_sum_to_global_at_saturation(fine_n, coarse_n,
+                                                      log_contrast, seed):
+    """At the order where every patch is the whole mesh, the assembled
+    localized correctors equal the global ones (order=None) to 1e-8 in
+    energy, row by row."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            int(np.log2(fine_n // coarse_n)))
+    coeff = make_checkerboard(fine_n, 10.0 ** log_contrast, seed, hier.fine)
+    ops = build_operators(hier.fine, coeff, lambda x, y: x)
+    interp = build_interpolation(hier)
+    local, whole = (assemble_corrector_set(hier, ops, interp, order=order)
+                    for order in (saturation_order(hier), None))
+    diff = (local.matrix - whole.matrix).toarray()
+    assert max(energy(ops, row) for row in diff) <= 1e-8
 
 
 def test_assemble_matches_manual_star_sums(problem):
@@ -165,6 +171,49 @@ def test_threaded_assembly_bit_identical(problem):
     serial = assemble_corrector_set(hier, ops, interp, order=2, threads=1)
     threaded = assemble_corrector_set(hier, ops, interp, order=2, threads=4)
     assert (serial.matrix != threaded.matrix).nnz == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_thread_pool_capped_at_usable_cpus(monkeypatch, cpus):
+    """threads = 5000 asks for no more workers than the CPUs the process
+    may use, and for no pool on one CPU; the pool is fed windows of 16
+    stacks per worker, and the corrector matrix keeps the serial bits.  One
+    patch per stack gives 126 stacks at coarse 8.  A recording stand-in for
+    the pool maps in the calling thread."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.windows = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, window):
+            self.windows.append(len(window))
+            return map(fn, window)
+
+    hier = refine_hierarchy(build_uniform_mesh(8), 1)
+    ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
+                          lambda x, y: x)
+    interp = build_interpolation(hier)
+    monkeypatch.setattr(lod, "_STACK_BYTES", 1)
+    serial = assemble_corrector_set(hier, ops, interp, order=1, threads=1)
+    monkeypatch.setattr(lod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lod.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    capped = assemble_corrector_set(hier, ops, interp, order=1, threads=5000)
+    assert [pool.max_workers for pool in pools] == ([cpus] if cpus > 1 else [])
+    for pool in pools:
+        assert sum(pool.windows) == 126
+        assert set(pool.windows[:-1]) == {16 * cpus}
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(capped.matrix, name),
+                              getattr(serial.matrix, name))
 
 
 @settings(max_examples=20)
@@ -465,7 +514,8 @@ def test_global_csr_is_the_merge_of_its_dense_block(problem, monkeypatch):
     block in every CSR array, exact zeros of either sign dropped."""
     hier, ops, interp = problem
     shape = (hier.coarse.n_interior, hier.fine.n_interior)
-    X = lod._kernel_projection(ops, interp, hier.prolongation_interior, 1e-10,
+    X = lod._kernel_projection(ops, interp,
+                               hier.prolongation_interior.toarray(), 1e-10,
                                "global correctors")
     matrix = assemble_corrector_set(hier, ops, interp, order=None).matrix
     zeroed = X.copy()
@@ -506,7 +556,7 @@ def test_global_correctors_solve_no_right_hand_side(problem, monkeypatch):
     monkeypatch.setattr(linalg.spla, "splu",
                         lambda *args, **kwargs: Counted(splu(*args, **kwargs)))
     monkeypatch.setattr(linalg.SaddleFactorization, "_apply", counted_apply)
-    P = hier.prolongation_interior
+    P = hier.prolongation_interior.toarray()
     x = lod._kernel_projection(ops, interp, P, 1e-10, "global")
     assert sum(solved) == interp.matrix.shape[0] + sum(refined)
     monkeypatch.undo()
