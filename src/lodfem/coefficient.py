@@ -77,16 +77,3 @@ def make_checkerboard(cell, contrast, seed, fine):
     by = np.floor(c[:, 1] * cell).astype(np.int64)
     return _from_values(block_values[by * cell + bx])
 
-
-def export_raster(coeff, fine, path):
-    """Write one `centroid_x centroid_y value` line per fine element."""
-    if coeff.values.shape[0] != fine.n_triangles:
-        raise ValueError("coefficient/mesh element count mismatch")
-    c = fine.element_centroids
-    lines = [
-        f"{format(c[e, 0], '.12g')} {format(c[e, 1], '.12g')} "
-        f"{format(coeff.values[e], '.12g')}"
-        for e in range(fine.n_triangles)
-    ]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -10,6 +10,7 @@ are only written when `timings = wall`; determinism checks use
 `timings = off`.
 """
 
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -56,13 +57,32 @@ def build_coefficient(cfg, fine):
     raise ConfigError(f"unknown coefficient kind: {kind!r}")
 
 
-def _fmt(x):
-    return format(float(x), ".12g")
+def _line(*values, sep=","):
+    """One output line: the values at 12 significant digits (so integers
+    below 10^12 print whole)."""
+    return sep.join(format(float(x), ".12g") for x in values) + "\n"
 
 
 def _write(path, text):
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _write_points(path, points, values):
+    """One `x y value` line per point."""
+    _write(path, "".join(_line(*xy, v, sep=" ") for xy, v in zip(points, values)))
+
+
+def _validated(cfg):
+    """The validated config; each output path set must name a file in an
+    existing, writable directory, so that a run is not lost at its end."""
+    for path in filter(None, (cfg.validate().out, cfg.solution_out)):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.path.isdir(folder) \
+                or not os.access(folder, os.W_OK):
+            raise ConfigError(f"cannot write {path!r}: not a file in a "
+                              "writable directory")
+    return cfg
 
 
 @dataclass
@@ -78,11 +98,8 @@ class ReportRow:
     corrector_count: int = 0
 
     def csv_line(self):
-        return ",".join([
-            str(self.coarse_n), str(self.level),
-            _fmt(self.err_l2), _fmt(self.err_h1), _fmt(self.err_energy),
-            _fmt(self.order_l2), _fmt(self.order_h1), _fmt(self.seconds),
-        ])
+        return _line(self.coarse_n, self.level, self.err_l2, self.err_h1,
+                     self.err_energy, self.order_l2, self.order_h1, self.seconds)
 
 
 @dataclass
@@ -90,8 +107,7 @@ class ErrorReport:
     rows: list = field(default_factory=list)
 
     def csv_text(self):
-        lines = [CSV_HEADER] + [row.csv_line() for row in self.rows]
-        return "\n".join(lines) + "\n"
+        return CSV_HEADER + "\n" + "".join(row.csv_line() for row in self.rows)
 
     def failed(self):
         """Whether the solve of any row failed (its errors are NaN)."""
@@ -160,12 +176,12 @@ def _solve_level(cfg, hier, ops, interp, u_ref, level, order):
             # the corrector set is passed on, not kept, so that the
             # multiscale space can let it go once its basis exists
             space = lod.build_multiscale_space(
-                hier, ops, _correctors(cfg, hier, ops, interp, order))
+                hier, ops, _correctors(cfg, hier, ops, interp, order),
+                "petrov_galerkin" if cfg.mode == "petrov" and order != 0
+                else "galerkin")
             count = 0 if order == 0 else int(np.count_nonzero(
                 coarse.interior_index[coarse.triangles] >= 0))
-            solve_mode = "petrov_galerkin" \
-                if cfg.mode == "petrov" and order != 0 else "galerkin"
-            _, u_ms = lod.solve_multiscale(space, solve_mode, cfg.tol)
+            _, u_ms = lod.solve_multiscale(space, cfg.tol)
         return fem.error_norms(u_ms, u_ref, ops), count, u_ms
     except lod.SolverFailure as exc:
         print(f"row coarse_n={coarse.cells_per_side} level={level} "
@@ -181,7 +197,7 @@ def _sweep(cfg, coarse_list, level_list):
     positive level in global mode.  Each order is solved once per coarse
     size and its row copied to every level that uses it, with `seconds` 0.
     """
-    cfg.validate()
+    _validated(cfg)
     fine, ops = _problem(cfg)
     u_ref = fem.solve_reference(ops, cfg.tol)
 
@@ -218,10 +234,7 @@ def run_solve(cfg):
     """Single solve at the first coarse size and patch order of the config."""
     report, fine, u_ms = _sweep(cfg, cfg.coarse_n[:1], cfg.levels[:1])
     if cfg.solution_out and u_ms is not None:
-        full = fem.pad_full(fine, u_ms)
-        lines = [f"{_fmt(x)} {_fmt(y)} {_fmt(v)}"
-                 for (x, y), v in zip(fine.vertices, full)]
-        _write(cfg.solution_out, "\n".join(lines) + "\n")
+        _write_points(cfg.solution_out, fine.vertices, fem.pad_full(fine, u_ms))
     return report
 
 
@@ -238,7 +251,7 @@ def _decay_node(cfg, coarse):
 
 def run_decay(cfg):
     """Tail norms of one global corrector at increasing radii."""
-    cfg.validate()
+    _validated(cfg)
     _, ops = _problem(cfg)
     coarse_n = max(cfg.coarse_n)  # the finest coarse mesh gives the most radii
     hier, interp = _hierarchy(cfg, coarse_n)
@@ -254,13 +267,10 @@ def run_decay(cfg):
     radii = [m * spacing for m in factors]
     tails = lod.measure_corrector_decay(hier, node, phi, radii)
 
-    lines = [DECAY_HEADER]
-    prev = None
+    text, prev = DECAY_HEADER + "\n", None
     for radius, tail in tails:
-        ratio = tail / prev if prev else float("nan")
-        lines.append(f"{_fmt(radius)},{_fmt(tail)},{_fmt(ratio)}")
+        text += _line(radius, tail, tail / prev if prev else float("nan"))
         prev = tail
-    text = "\n".join(lines) + "\n"
     if cfg.out:
         _write(cfg.out, text)
     return tails, text
@@ -268,10 +278,10 @@ def run_decay(cfg):
 
 def run_coeff_export(cfg):
     """Write the coefficient raster (centroid and value per fine element)."""
-    cfg.validate()
+    _validated(cfg)
     if not cfg.out:
         raise ConfigError("coeff-export needs an output path")
     fine = build_uniform_mesh(cfg.fine_n)
     coeff = build_coefficient(cfg, fine)
-    coefficient.export_raster(coeff, fine, cfg.out)
+    _write_points(cfg.out, fine.element_centroids, coeff.values)
     return coeff

@@ -60,11 +60,11 @@ class SolverFailure(RuntimeError):
 
 
 def spd_solve(A, b, tol=1e-10):
-    """Solve Ax = b for symmetric positive definite A to a relative residual.
+    """Solve Ax = b for square A, SPD or not symmetric, to a relative residual.
 
-    The unconstrained case of SaddleFactorization; deterministic for fixed
-    inputs.  Raises SolverFailure if the factorization fails or the residual
-    target is missed.
+    The unconstrained case of SaddleFactorization (m = 0); deterministic for
+    fixed inputs.  Raises SolverFailure if the factorization fails or the
+    residual target is missed.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):

@@ -32,7 +32,7 @@ dense block is the corrector matrix.  The same projection of the fine
 solution u is its part in the kernel, so u minus it is the Galerkin solution
 with the global correctors: the harness computes global rows that way, with
 no corrector set or basis.  The multiscale basis B = P - M' and its products
-are sparse.
+are sparse.  A multiscale space holds the one coarse system of its mode.
 """
 
 import os
@@ -66,13 +66,12 @@ class CorrectorSet:
 
 @dataclass(eq=False)
 class MultiscaleSpace:
-    """Modified coarse basis and the assembled coarse systems."""
+    """Modified coarse basis and the coarse system of one solve mode."""
 
     basis: sparse.csr_matrix     # (n_fine_interior, n_coarse_interior)
-    gram: sparse.csr_matrix      # a(b_a, b_b)
-    gram_pg: sparse.csr_matrix   # a(b_a, hat_b): coarse hats as test functions
-    load: np.ndarray             # (f, b_a)
-    load_pg: np.ndarray          # (f, hat_a)
+    gram: sparse.csr_matrix      # a(b_a, t_b) for the test functions t
+    load: np.ndarray             # (f, t_a)
+    mode: str                    # "galerkin" (t = b) or "petrov_galerkin" (t = hat)
 
 
 def _kernel_projection(ops, interp, p, tol, where):
@@ -330,42 +329,36 @@ def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
         blocks, (coarse.n_interior, hierarchy.fine.n_interior)))
 
 
-def build_multiscale_space(hierarchy, ops, correctors):
-    """Modified basis b_a = hat_a - phi_a and its coarse systems.
+def build_multiscale_space(hierarchy, ops, correctors, mode="galerkin"):
+    """Modified basis b_a = hat_a - phi_a and the coarse system T'(A B),
+    T'f of `mode`: T = B ("galerkin") or the coarse hats P ("petrov_galerkin").
 
     The corrector matrix is let go once B exists, so a caller that passes
     `correctors` without keeping it does not hold it while S B is formed.
     """
+    if mode not in ("galerkin", "petrov_galerkin"):
+        raise ValueError(f"unknown solve mode: {mode!r}")
     P = hierarchy.prolongation_interior
     M = correctors.matrix
     del correctors
     B = (P - M.T).tocsr()
     del M
-    SB = ops.stiffness_coeff @ B
+    T = B if mode == "galerkin" else P
     return MultiscaleSpace(
-        basis=B,
-        gram=sparse.csr_matrix(B.T @ SB),
-        gram_pg=sparse.csr_matrix(P.T @ SB),
-        load=B.T @ ops.load,
-        load_pg=P.T @ ops.load,
-    )
+        basis=B, gram=sparse.csr_matrix(T.T @ (ops.stiffness_coeff @ B)),
+        load=T.T @ ops.load, mode=mode)
 
 
-def solve_multiscale(space, mode="galerkin", tol=1e-10):
-    """Coarse coefficients and the fine representation of the solution."""
-    if mode == "galerkin":
-        gram = space.gram
+def solve_multiscale(space, tol=1e-10):
+    """Coarse coefficients and the fine representation of the solution; a
+    Galerkin system must be symmetric with a positive diagonal."""
+    gram = space.gram
+    if space.mode == "galerkin":
         skew = abs(gram - gram.T)
         if (skew.nnz and skew.data.max() > 1e-10 * abs(gram).data.max()) or \
                 np.any(gram.diagonal() <= 0):
             raise ValueError("assembly integrity lost: coarse system is not SPD")
-        coeffs = spd_solve(gram, space.load, tol)
-    elif mode == "petrov_galerkin":
-        no_constraints = sparse.csr_matrix((0, space.gram_pg.shape[0]))
-        coeffs, _ = SaddleFactorization(space.gram_pg, no_constraints).solve(
-            space.load_pg, tol)
-    else:
-        raise ValueError(f"unknown solve mode: {mode!r}")
+    coeffs = spd_solve(gram, space.load, tol)
     return coeffs, space.basis @ coeffs
 
 

@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
-from hypothesis import settings
+import os
 
-from lodfem import build_uniform_mesh, refine_hierarchy
+# BLAS gets one thread unless the developer says otherwise, as in the
+# benchmark: the dense patch stacks run several times slower under
+# OpenBLAS's default threads.  Set before numpy is first imported.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from lodfem import build_uniform_mesh, refine_hierarchy  # noqa: E402
 
 # Property tests draw the same examples on every run (derandomize also turns
 # the example database off), so the suite stays deterministic.

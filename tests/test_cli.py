@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lodfem import ConfigError, ExperimentConfig, linalg, lod, parse_config, \
-    serialize_config
+from lodfem import ConfigError, ExperimentConfig, harness, linalg, lod, \
+    parse_config, serialize_config
 from lodfem.cli import main
 from lodfem.config import DESK_PRESET, MODES, PAPER_PRESET, RHS_NAMES, \
     TIMING_MODES
@@ -208,6 +208,20 @@ def test_global_and_petrov_modes():
     assert max(errs) <= 5.0 * min(errs)
 
 
+@pytest.mark.parametrize("mode", ["localized", "global"])
+def test_wall_timings(tmp_path, mode):
+    """With `timings = wall` every solved row has its seconds; a global row
+    copied to a later level has 0."""
+    out = tmp_path / "wall.csv"
+    report = run_convergence(cfg(coarse_n=(4,), levels=(1, 2), mode=mode,
+                                 timings="wall", out=str(out)))
+    assert [row.seconds > 0 for row in report.rows] == \
+        [True, True, mode == "localized"]
+    written = [float(line.split(",")[-1])
+               for line in out.read_text().splitlines()[1:]]
+    assert written == [float(f"{row.seconds:.12g}") for row in report.rows]
+
+
 def test_global_correctors_assembled_once_per_coarse_size(monkeypatch):
     """A global sweep assembles no corrector set: each coarse size makes one
     constrained projection, of the reference solution, whose row every
@@ -273,6 +287,17 @@ def test_decay_custom_factors_and_node():
     assert [r for r, _ in tails] == [0.25, 0.375, 0.5]
     with pytest.raises(ConfigError):
         run_decay(cfg(coarse_n=(8,), decay_node="0"))  # boundary vertex
+
+
+def test_cli_decay_prints_tails(tmp_path, capsys):
+    config = tmp_path / "decay.cfg"
+    config.write_text("fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n"
+                      "decay_factors = 2,3\n")
+    assert main(["decay", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "radius        tail_h1"
+    assert [float(line.split()[0]) for line in lines[1:]] == [0.5, 0.75]
+    assert all(float(line.split()[1]) >= 0 for line in lines[1:])
 
 
 def test_coeff_export_runs(tmp_path):
@@ -344,6 +369,39 @@ def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,
     path.write_text(text)
     assert main([command, "--config", str(path), *flags]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command, key", [
+    ("convergence", "out"), ("solve", "solution_out"), ("decay", "out"),
+    ("coeff-export", "out")])
+def test_output_path_is_checked_before_any_work(tmp_path, monkeypatch, capsys,
+                                                command, key):
+    """An output path in a missing directory, or naming a directory, is a
+    config error found before any mesh is built."""
+    def building(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(harness, "build_uniform_mesh", building)
+    config = tmp_path / "run.cfg"
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        config.write_text("fine_n = 16\ncoarse_n = 4\nlevels = 1\n"
+                          f"coeff_cell = 8\n{key} = {path}\n")
+        assert main([command, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and not captured.out
+
+
+def test_solver_failure_outside_the_rows_writes_no_csv(tmp_path, capsys):
+    """A reference solve that fails (a coefficient so small that the fine
+    stiffness is exactly singular) ends the run with exit code 2, its reason
+    on stderr, and no CSV."""
+    config = tmp_path / "run.cfg"
+    config.write_text("fine_n = 8\ncoarse_n = 4\ncoeff_kind = constant\n"
+                      "coeff_constant = 1e-320\ncoeff_cell = 8\n")
+    out = tmp_path / "run.csv"
+    assert main(["convergence", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("solver failure:")
+    assert not out.exists()
 
 
 def test_failed_row_says_why(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lodfem import build_uniform_mesh, make_checkerboard, make_constant, \
-    make_periodic
-from lodfem.coefficient import export_raster
+from lodfem import ExperimentConfig, build_uniform_mesh, make_checkerboard, \
+    make_constant, make_periodic
+from lodfem.harness import run_coeff_export
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +101,10 @@ def test_checkerboard_invalid_contrast(fine):
 
 
 def test_export_raster(tmp_path, fine):
-    c = make_checkerboard(8, 100.0, 5, fine)
+    cfg = ExperimentConfig(fine_n=fine.cells_per_side, coarse_n=(4,),
+                           coeff_cell=8, coeff_contrast=100.0, seed=5)
     path = tmp_path / "coeff.txt"
-    export_raster(c, fine, path)
+    c = run_coeff_export(replace(cfg, out=str(path)))
     lines = path.read_text().splitlines()
     assert len(lines) == fine.n_triangles
     x, y, v = map(float, lines[0].split())
@@ -109,5 +112,5 @@ def test_export_raster(tmp_path, fine):
     assert y == pytest.approx(fine.element_centroids[0, 1], rel=1e-11)
     assert v == pytest.approx(c.values[0], rel=1e-11)
     path2 = tmp_path / "coeff2.txt"
-    export_raster(c, fine, path2)
+    run_coeff_export(replace(cfg, out=str(path2)))
     assert path.read_bytes() == path2.read_bytes()

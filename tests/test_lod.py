@@ -297,17 +297,20 @@ def test_petrov_galerkin_with_global_correctors(problem):
     hier, ops, interp = problem
     cs = assemble_corrector_set(hier, ops, interp, order=None)
     space = build_multiscale_space(hier, ops, cs)
-    np.testing.assert_allclose(space.gram_pg.toarray(), space.gram.toarray(),
+    space_pg = build_multiscale_space(hier, ops, cs, "petrov_galerkin")
+    np.testing.assert_allclose(space_pg.gram.toarray(), space.gram.toarray(),
                                atol=1e-10)
-    c_pg, u_pg = solve_multiscale(space, "petrov_galerkin")
-    residual = space.gram_pg @ c_pg - space.load_pg
-    assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(space.load_pg)
+    c_pg, u_pg = solve_multiscale(space_pg)
+    residual = space_pg.gram @ c_pg - space_pg.load
+    assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(space_pg.load)
     # both variants approximate the same fine solution to first order
     u_ref = solve_reference(ops)
-    _, u_g = solve_multiscale(space, "galerkin")
+    _, u_g = solve_multiscale(space)
     err_pg = error_norms(u_pg, u_ref, ops)[1]
     err_g = error_norms(u_g, u_ref, ops)[1]
     assert err_pg <= 2.0 * err_g
+    with pytest.raises(ValueError, match="unknown solve mode"):
+        build_multiscale_space(hier, ops, cs, "petrov")
 
 
 def test_multiscale_convergence_with_global_correctors():
@@ -388,14 +391,13 @@ def test_fit_decay_drops_zero_tails():
 
 
 def test_singular_petrov_galerkin_system_is_a_solver_failure():
-    identity = sparse.identity(3, format="csr")
     space = MultiscaleSpace(
-        basis=identity, gram=identity,
-        gram_pg=sparse.csr_matrix([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
-                                   [0.0, 0.0, 1.0]]),
-        load=np.ones(3), load_pg=np.ones(3))
+        basis=sparse.identity(3, format="csr"),
+        gram=sparse.csr_matrix([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                                [0.0, 0.0, 1.0]]),
+        load=np.ones(3), mode="petrov_galerkin")
     with pytest.raises(SolverFailure):
-        solve_multiscale(space, "petrov_galerkin")
+        solve_multiscale(space)
 
 
 def test_zero_corrector_set_is_plain_coarse_fem(problem):
