@@ -1,10 +1,11 @@
 """Experiment configuration: flat key = value text files with # comments.
 
-Lists are comma separated.  Every field serializes, so parse(serialize(c))
-round-trips exactly for every valid config; for that, a text value may not
-hold `#` or a line break, or start or end with blanks.  Two presets ship:
-`desk` finishes full sweeps in minutes, `paper` runs the full-scale study
-(fine grid 256, coarse sizes 8..64, patch orders 1..3).
+Files are UTF-8, and lists are comma separated.  Every field serializes,
+so parse(serialize(c)) round-trips exactly for every valid config; for
+that, a text value may not hold `#` or a line break, or start or end with
+blanks.  Two presets ship: `desk` finishes full sweeps in minutes, `paper`
+runs the full-scale study (fine grid 256, coarse sizes 8..64, patch orders
+1..3).
 """
 
 import math
@@ -132,9 +133,9 @@ def parse_config(text, base=None):
 
 def load_config(path, base=None):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base)
 

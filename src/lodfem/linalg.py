@@ -12,24 +12,29 @@ handled through the Schur complement of its KKT system.  With constraints
 its symmetric mode (minimum degree on A'+A, diagonal pivots), and the small
 dense Schur complement S = C A^-1 C' is Cholesky-factorized; S is positive
 definite because the constraints have full row rank (the rows of a
-quasi-interpolation are local and linearly independent).  An
-unconstrained solve Ax = b is the case of C with zero rows (m = 0), in which
-A need not be symmetric: SuperLU takes its symmetric mode when A equals its
-transpose bit for bit (as the fine stiffness does), and its default pivoted
-ordering otherwise (as for the Petrov-Galerkin matrix).  The A-orthogonal
-projection of p onto the kernel of C, x = p - A^-1 C'(C A^-1 C')^-1 C p, is
-the solve of b = A p; `project` starts that solve from u = A^-1 b = p, so
-that it does no A-solve of its right-hand sides.  A stack of small dense SPD
-systems, A of shape (P, n, n) with C of shape (P, m, n), is the batched
-case: LAPACK Cholesky factors each A and each S, and every step below works
-on the whole stack at once.  Right-hand sides are dense and worked on whole;
-only Y = A^-1 C' is solved in column blocks (see _BLOCK_BYTES).  The kernel
-polishes with iterative refinement; one per-column acceptance test decides
-both which columns are refined and whether the solve succeeds.  There is one
-failure type: a factorization that fails, or a solve that misses the test,
-raises SolverFailure; a missed solve carries the achieved residual, and a
-stack names its failing system.  Solves are pure functions of their inputs,
-so repeated or concurrent calls on shared immutable matrices are
+quasi-interpolation are local and linearly independent).  Y = A^-1 C' is
+kept while it has at most twice the entries of SuperLU's factor, as for
+every patch of the paper grid; a whole-domain system, whose Y would be
+larger, keeps no n x m array: S is summed a column block at a time, and
+each application solves A^-1 (C'mu) once more.  An unconstrained solve
+Ax = b is the case of C with zero rows (m = 0), in which A need not be
+symmetric: SuperLU takes its symmetric mode when A equals its transpose
+bit for bit (as the fine stiffness does), and its default pivoted ordering
+otherwise (as for the Petrov-Galerkin matrix).  The A-orthogonal
+projection of p onto the kernel of C, x = p - A^-1 C'(C A^-1 C')^-1 C p,
+is the solve of b = A p; `project` starts that solve from u = A^-1 b = p,
+so that it does no A-solve of its right-hand sides.  A stack of small
+dense SPD systems, A of shape (P, n, n) with C of shape (P, m, n), is the
+batched case: LAPACK Cholesky factors each A and each S, and every step
+below works on the whole stack at once.  Right-hand sides are dense and
+worked on whole; only the columns of C' and, without Y, those of C'mu are
+solved in column blocks (see _BLOCK_BYTES).  The kernel polishes with
+iterative refinement; one per-column acceptance test decides both which
+columns are refined and whether the solve succeeds.  There is one failure
+type: a factorization that fails, or a solve that misses the test, raises
+SolverFailure; a missed solve carries the achieved residual, and a stack
+names its failing system.  Solves are pure functions of their inputs, so
+repeated or concurrent calls on shared immutable matrices are
 deterministic, and each system of a stack gets the same bits whatever else
 is stacked with it up to refinement, which visits the columns that fail in
 any system of the stack.
@@ -41,10 +46,11 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 _REFINE_STEPS = 2
-# SuperLU forms Y = A^-1 C' in column blocks of about _BLOCK_BYTES and at
-# least _MIN_BLOCK_COLUMNS columns, as it copies its right-hand sides and
-# allocates as much again for work.  On the global system at fine 128 it
-# solves 8 columns at a time about 1.6 times faster per column than 2.
+# SuperLU solves the columns of C' (for Y or S) and, without Y, of C'mu in
+# blocks of about _BLOCK_BYTES and at least _MIN_BLOCK_COLUMNS columns, as it
+# copies its right-hand sides and allocates as much again for work.  On the
+# global system at fine 128 it solves 8 columns at a time about 1.6 times
+# faster per column than 2.
 _BLOCK_BYTES = 2 ** 19
 _MIN_BLOCK_COLUMNS = 8
 
@@ -128,10 +134,13 @@ def _solve_sparse_columns(solve, B):
 class SaddleFactorization:
     """Reusable Schur-complement factorization for many right-hand sides.
 
-    A is factorized once; with constraints, Y = A^-1 C' is formed by block
-    solves and S = C Y is Cholesky-factorized, so each application is
-    u = A^-1 r, mu = S^-1 (C u - q), x = u - Y mu.  The constraints must
-    have full row rank, so that S is positive definite.
+    A is factorized once; with constraints, S = C A^-1 C' is formed by block
+    solves and Cholesky-factorized, so each application is u = A^-1 r,
+    mu = S^-1 (C u - q), x = u - A^-1 C'mu.  Y = A^-1 C' is kept for the
+    last step while n m is at most twice the entries of SuperLU's factor
+    (always for a stack); past that, x = u - A^-1 (C'mu) takes one more
+    A-solve and no n x m array is kept.  The constraints must have full
+    row rank, so that S is positive definite.
 
     Given numpy stacks A (P, n, n) and C (P, m, n), it factorizes P systems
     at once and solves right-hand sides (P, n) or (P, n, k).  A factorization
@@ -158,11 +167,25 @@ class SaddleFactorization:
             except RuntimeError as exc:
                 raise SolverFailure(f"factorization failed: {exc}") from exc
             self._solve_A = lu.solve
-        if self.m:
-            self._Y = self._solve_A(self.Ct) if isinstance(A, np.ndarray) \
-                else _solve_sparse_columns(self._solve_A, self.Ct)
-            schur = _cholesky(self.C @ self._Y)
-            self._solve_S = lambda r: _cho_solve(schur, r)
+        if self.m == 0:
+            return
+        # Every patch of the paper grid keeps Y (n m / nnz 0.06-1.47);
+        # whole-domain systems do not (3.5 at fine 128 / coarse 16, 46 at
+        # fine 256 / coarse 64, where Y is 1969 MiB).
+        if isinstance(A, np.ndarray):
+            self._Y = self._solve_A(self.Ct)
+            schur = self.C @ self._Y
+        elif self.n * self.m <= 2 * lu.nnz:
+            self._Y = _solve_sparse_columns(self._solve_A, self.Ct)
+            schur = self.C @ self._Y
+        else:
+            self._Y = None
+            schur = np.empty((self.m, self.m))
+            for cols in _column_blocks(self.Ct):
+                schur[:, cols] = self.C @ self._solve_A(
+                    self.Ct[:, cols].toarray())
+        schur = _cholesky(schur)
+        self._solve_S = lambda r: _cho_solve(schur, r)
 
     def _apply(self, r, q, u=None):
         """(x, mu) solving A x + C'mu = r, C x = q, x formed in place of
@@ -172,7 +195,11 @@ class SaddleFactorization:
         if self.m == 0:
             return u, np.zeros(q.shape)
         mu = self._solve_S(self.C @ u - q)
-        u -= self._Y @ mu
+        if self._Y is not None:
+            u -= self._Y @ mu
+        else:
+            for cols in _column_blocks(u):
+                u[:, cols] -= self._solve_A(self.Ct @ mu[:, cols])
         return u, mu
 
     def _residual(self, B, x, mu):

@@ -316,8 +316,9 @@ def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
     node's star size per node, in ascending element order).  order=None is
     the unbounded patch, the global correctors: one whole-domain projection
     of the dense block of all hats, whose columns are the rows of the matrix
-    (exact zeros, of either sign, not stored); it holds about six such
-    dense blocks at once.
+    (exact zeros, of either sign, not stored); it holds five to six such
+    dense blocks at once (6.2 at fine 64 / coarse 8, whose projection keeps
+    Y = A^-1 C', and 5.1 at fine 128 / coarse 16, whose projection does not).
     """
     coarse = hierarchy.coarse
     if order is None:

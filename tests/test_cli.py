@@ -358,15 +358,16 @@ def test_cli_missing_config_file():
     ("solve", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\ntol = nan\n", []),
     ("convergence", "fine_n = 16\ncoarse_n = 4\ncoeff_cell = 8\n"
                     "coeff_contrast = inf\n", []),
+    ("convergence", b"fine_n = 16\xff\n", []),
 ], ids=["coeff_cell", "coeff_amplitude", "decay_node",
         "decay_node_superscript_digit", "threads_zero",
         "decay_factors_unordered", "coarse_n_repeated", "levels_repeated",
-        "tol_nan", "contrast_inf"])
+        "tol_nan", "contrast_inf", "not_utf8"])
 def test_cli_bad_inputs_are_config_errors(tmp_path, monkeypatch, capsys,
                                           command, text, flags):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.cfg"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main([command, "--config", str(path), *flags]) == 1
     assert capsys.readouterr().err.startswith("config error:")
 

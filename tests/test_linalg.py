@@ -235,9 +235,10 @@ def test_stack_refines_the_columns_failing_in_any_system(monkeypatch):
 def test_solve_in_column_blocks(rng, monkeypatch):
     """On a diagonal system, where no sum depends on how columns are
     grouped, each column of a block solve equals its one-column solve bit
-    for bit.  With Y = A^-1 C' formed in 3 column blocks, a solve equals
-    the one-block factorization's bit for bit on a diagonal A and to 1e-12
-    relative on an SPD A."""
+    for bit.  With the constraints solved in 3 column blocks, a solve
+    equals the one-block factorization's bit for bit on a diagonal A (whose
+    S is summed block by block, as n m is over twice its 80 factor
+    entries) and to 1e-12 relative on a dense SPD A (which keeps Y)."""
     n, k, m = 40, 9, 6
     A = sparse.diags(rng.uniform(1.0, 10.0, n)).tocsr()
     C = sparse.csr_matrix(([1.0, -2.0], ([0, 0], [3, 17])), shape=(1, n))
@@ -250,6 +251,8 @@ def test_solve_in_column_blocks(rng, monkeypatch):
 
     C = csr(rng.standard_normal((m, n)))
     systems = [A, csr(random_spd(rng, n))]
+    assert [n * m in kept_sizes(SaddleFactorization(S, C))
+            for S in systems] == [False, True]
     whole = [SaddleFactorization(S, C).solve(b) for S in systems]
     monkeypatch.setattr(linalg, "_MIN_BLOCK_COLUMNS", 1)
     monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * n * 2)  # blocks of 2 columns
@@ -263,6 +266,60 @@ def test_solve_in_column_blocks(rng, monkeypatch):
 
 def assert_close(got, expected, rtol):
     assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+def kept_sizes(fact):
+    """Entry counts of the arrays a factorization keeps as attributes."""
+    return [v.size for v in vars(fact).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("method", ["solve", "project"])
+def test_schur_complement_summed_without_Y(rng, monkeypatch, method):
+    """A system whose n m is over twice its SuperLU factor's entries (a
+    diagonal A, n = 40, m = 6, with 80 factor entries: the unit diagonal
+    of L and the diagonal of U) keeps no n x m array.
+    Its solve and projection of 5 columns, two of them refined after a
+    forced miss, agree with those of the same system made to keep
+    Y = A^-1 C' (its factor reported as large as Y) to 1e-12 relative."""
+    n, m = 40, 6
+    A = sparse.diags(rng.uniform(1.0, 10.0, n)).tocsr()
+    C = csr(rng.standard_normal((m, n)))
+    b = rng.standard_normal((n, 5))
+    splu, factors = linalg.spla.splu, []
+
+    class Factor:
+        def __init__(self, lu, nnz):
+            self.solve, self.nnz = lu.solve, nnz
+            factors.append(lu.nnz)
+
+    monkeypatch.setattr(linalg.spla, "splu",
+                        lambda *args, **kwargs: Factor(splu(*args, **kwargs),
+                                                       n * m))
+    with_Y = SaddleFactorization(A, C)
+    monkeypatch.undo()
+    without_Y = SaddleFactorization(A, C)
+    assert factors == [2 * n] and linalg.spla.splu is splu
+    assert n * m in kept_sizes(with_Y)
+    assert max(kept_sizes(without_Y), default=0) < n * m
+
+    results = []
+    for fact in (with_Y, without_Y):
+        apply, calls = fact._apply, []
+
+        def first_step_off_the_constraint(r, q, u=None, apply=apply,
+                                          calls=calls):
+            x, mu = apply(r, q, u)
+            if not calls:
+                x[:, 1:3] += 1e-6 * np.abs(x).max()
+            calls.append(r.shape[1])
+            return x, mu
+
+        monkeypatch.setattr(fact, "_apply", first_step_off_the_constraint)
+        results.append(getattr(fact, method)(b))
+        assert calls == [5, 2]
+    (x, mu), (x_ref, mu_ref) = results[1], results[0]
+    assert_close(x, x_ref, 1e-12)
+    assert_close(mu, mu_ref, 1e-12)
 
 
 def projection_problem(rng, n=30, m=6):

@@ -533,38 +533,53 @@ def test_global_csr_is_the_merge_of_its_dense_block(problem, monkeypatch):
 
 
 def test_global_correctors_solve_no_right_hand_side(problem, monkeypatch):
-    """The global correctors are the projection of the hats: SuperLU solves
-    only the m columns of Y = A^-1 C' and whatever refinement asks for,
-    never the right-hand sides A p; the result agrees with the solve of
-    A p to 1e-13 relative."""
-    hier, ops, interp = problem
-    splu, solved = linalg.spla.splu, []
+    """The global correctors are the projection of the hats: SuperLU never
+    solves the right-hand sides A p.  At fine 16 and coarse 4, Y = A^-1 C'
+    has at most twice the factor's entries and is kept: SuperLU solves its m
+    columns and whatever refinement asks for.  At coarse 8 it has more, so S
+    is summed block by block: SuperLU solves the m columns of C', then the
+    k columns of A^-1 C'mu, and for each refined column its residual and its
+    A^-1 C'mu.  Either result agrees with the solve of A p to 1e-13
+    relative."""
+    hier8 = refine_hierarchy(build_uniform_mesh(8), 1)
+    coarse8 = (hier8, build_operators(
+        hier8.fine, make_checkerboard(4, 100.0, 1, hier8.fine),
+        lambda x, y: x), build_interpolation(hier8))
+    splu = linalg.spla.splu
+    apply = linalg.SaddleFactorization._apply
+    for (hier, ops, interp), keeps_Y in ((problem, True), (coarse8, False)):
+        solved, factors, refined = [], [], []
 
-    class Counted:
-        def __init__(self, lu):
-            self.lu = lu
+        class Counted:
+            def __init__(self, lu):
+                self.lu, self.nnz = lu, lu.nnz
+                factors.append(lu.nnz)
 
-        def solve(self, rhs):
-            solved.append(rhs.shape[1] if rhs.ndim == 2 else 1)
-            return self.lu.solve(rhs)
+            def solve(self, rhs):
+                solved.append(rhs.shape[1] if rhs.ndim == 2 else 1)
+                return self.lu.solve(rhs)
 
-    apply, refined = linalg.SaddleFactorization._apply, []
+        def counted_apply(self, r, q, u=None):
+            if u is None and self.m:
+                refined.append(r.shape[-1])
+            return apply(self, r, q, u)
 
-    def counted_apply(self, r, q, u=None):
-        if u is None and self.m:
-            refined.append(r.shape[-1])
-        return apply(self, r, q, u)
-
-    monkeypatch.setattr(linalg.spla, "splu",
-                        lambda *args, **kwargs: Counted(splu(*args, **kwargs)))
-    monkeypatch.setattr(linalg.SaddleFactorization, "_apply", counted_apply)
-    P = hier.prolongation_interior.toarray()
-    x = lod._kernel_projection(ops, interp, P, 1e-10, "global")
-    assert sum(solved) == interp.matrix.shape[0] + sum(refined)
-    monkeypatch.undo()
-    S = ops.stiffness_coeff
-    expected, _ = linalg.SaddleFactorization(S, interp.matrix).solve(S @ P)
-    assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+        P = hier.prolongation_interior.toarray()
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg.spla, "splu", lambda *args, **kwargs:
+                            Counted(splu(*args, **kwargs)))
+            patched.setattr(linalg.SaddleFactorization, "_apply",
+                            counted_apply)
+            x = lod._kernel_projection(ops, interp, P, 1e-10, "global")
+        (n, k), m = P.shape, interp.matrix.shape[0]
+        assert (n * m <= 2 * factors[0]) == keeps_Y
+        if keeps_Y:
+            assert sum(solved) == m + sum(refined)
+        else:
+            assert sum(solved) == m + k + 2 * sum(refined)
+        S = ops.stiffness_coeff
+        expected, _ = linalg.SaddleFactorization(S, interp.matrix).solve(S @ P)
+        assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def _global_row(fine_n, coarse_n, contrast, seed):
@@ -602,11 +617,13 @@ def test_global_row_is_the_galerkin_solution(fine_n, coarse_n, log_contrast,
 
 @pytest.mark.parametrize("coarse_n", [8, 16])
 def test_global_row_memory_peak(coarse_n):
-    """The global row at fine 64 holds at most 1.9 (coarse 8) and 1.3
+    """The global row at fine 64 holds at most 1.9 (coarse 8) and 0.3
     (coarse 16) dense n_fine_interior x n_coarse_interior arrays' worth of
-    memory at once: Y = A^-1 C' of its projection and the column blocks
-    that form it."""
-    arrays = {8: 1.9, 16: 1.3}[coarse_n]
+    memory at once.  At coarse 8 that is Y = A^-1 C' of its projection and
+    the column blocks that form it; at coarse 16, where Y would have more
+    than twice the entries of the SuperLU factor, Y is not kept and the
+    Schur complement is summed a column block at a time."""
+    arrays = {8: 1.9, 16: 0.3}[coarse_n]
     hier, ops, interp, u_ref, _ = _global_row(64, coarse_n, 20.0, 10)
     started = not tracemalloc.is_tracing()
     if started:
