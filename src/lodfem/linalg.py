@@ -9,7 +9,9 @@ equality-constrained quadratic solve
 
 handled through the Schur complement of its KKT system.  With constraints
 (m > 0) A is symmetric positive definite, so SuperLU factorizes it once in
-its symmetric mode (minimum degree on A'+A, diagonal pivots), and the small
+its symmetric mode (diagonal pivots): a CSC A in the order it is given, as
+the patch solvers hand over their stiffness in the mesh's elimination
+order, and any other A in the minimum-degree order of A'+A.  The small
 dense Schur complement S = C A^-1 C' is Cholesky-factorized; S is positive
 definite because the constraints have full row rank (the rows of a
 quasi-interpolation are local and linearly independent).  Y = A^-1 C' is
@@ -118,16 +120,16 @@ def _column_blocks(B):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _solve_sparse_columns(solve, B):
-    """solve(B) for the sparse B (n, k), made dense a column block at a
-    time; the result of more than one block is C-ordered, as scipy's sparse
-    products would copy a dense operand that is not."""
-    blocks = _column_blocks(B)
+def _solve_constraint_columns(solve, C):
+    """solve(C') for the sparse C (m, n), made dense a column block of C'
+    (rows of C) at a time; the result of more than one block is C-ordered,
+    as scipy's sparse products would copy a dense operand that is not."""
+    blocks = _column_blocks(C.T)
     if len(blocks) == 1:
-        return solve(B.toarray())
-    X = np.empty(B.shape)
+        return solve(C.T.toarray())
+    X = np.empty(C.T.shape)
     for cols in blocks:
-        X[:, cols] = solve(B[:, cols].toarray())
+        X[:, cols] = solve(C[cols].T.toarray())
     return X
 
 
@@ -140,7 +142,9 @@ class SaddleFactorization:
     last step while n m is at most twice the entries of SuperLU's factor
     (always for a stack); past that, x = u - A^-1 (C'mu) takes one more
     A-solve and no n x m array is kept.  The constraints must have full
-    row rank, so that S is positive definite.
+    row rank, so that S is positive definite.  SuperLU factorizes a
+    constrained CSC A in the order it is given and any other sparse A in
+    its own.
 
     Given numpy stacks A (P, n, n) and C (P, m, n), it factorizes P systems
     at once and solves right-hand sides (P, n) or (P, n, k).  A factorization
@@ -156,14 +160,18 @@ class SaddleFactorization:
             chol = _cholesky(A)
             self._solve_A = lambda r: _cho_solve(chol, r)
         else:
-            self.A = A.tocsr()
+            # a constrained CSC system is factorized in the order it is given
+            ordered = self.m > 0 and A.format == "csc"
+            self.A = A if ordered else A.tocsr()
             self.C = C.tocsr()
-            self.Ct = self.C.T.tocsr()
-            symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                             options=dict(SymmetricMode=True)) \
-                if self.m or (self.A != self.A.T).nnz == 0 else {}
+            self.Ct = self.C.T
+            options = {}
+            if self.m or (self.A != self.A.T).nnz == 0:
+                options = dict(
+                    permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0, options=dict(SymmetricMode=True))
             try:
-                lu = spla.splu(sparse.csc_matrix(A), **symmetric)
+                lu = spla.splu(A if ordered else sparse.csc_matrix(A), **options)
             except RuntimeError as exc:
                 raise SolverFailure(f"factorization failed: {exc}") from exc
             self._solve_A = lu.solve
@@ -176,14 +184,14 @@ class SaddleFactorization:
             self._Y = self._solve_A(self.Ct)
             schur = self.C @ self._Y
         elif self.n * self.m <= 2 * lu.nnz:
-            self._Y = _solve_sparse_columns(self._solve_A, self.Ct)
+            self._Y = _solve_constraint_columns(self._solve_A, self.C)
             schur = self.C @ self._Y
         else:
             self._Y = None
             schur = np.empty((self.m, self.m))
             for cols in _column_blocks(self.Ct):
                 schur[:, cols] = self.C @ self._solve_A(
-                    self.Ct[:, cols].toarray())
+                    self.C[cols].T.toarray())
         schur = _cholesky(schur)
         self._solve_S = lambda r: _cho_solve(schur, r)
 

@@ -12,19 +12,30 @@ method's output.
 A patch order k solves one order-k patch per coarse element, a column per
 interior vertex of the element.  On the structured lattice the patches fall
 into classes of translates (mesh.patch_classes); each class gets a template
-from one representative patch: its fine dofs, its nonzero constraint rows,
-the sparsity of its stiffness and constraint blocks, and the unit-coefficient
-right-hand side of each child element.  A member's blocks are gathered from
-the CSR data of the fine stiffness and the quasi-interpolation at the
-member's lattice offset, and its right-hand side is the template's weighted
-by the coefficient on its children.  Each patch is solved once: classes of
-at most _DENSE_MAX_DOFS dofs as dense stacks of up to _STACK_BYTES of
-stiffness, Cholesky for each patch and its Schur complement, larger classes
-one patch at a time, each with one sparse SuperLU factorization.  A failure
-names the element of its patch.  The (coarse dof, patch dofs, values)
-triplets are summed in ascending element order into the corrector matrix,
-built once, so outputs are bit-identical at any thread count of the
-localized solves.  The global correctors are the unbounded patch (order
+from one representative patch: its fine dofs, listed in the fine mesh's
+elimination order (TriMesh.elimination_order), its nonzero constraint rows,
+the sparsity of its stiffness and constraint blocks (CSR with sorted
+indices), and the unit-coefficient right-hand side of each child element.
+Every member lists its dofs in the template's order, moved by its lattice
+offset.  A member's stiffness values are read from the fine stiffness's CSR
+data at the template's ranks: where each template entry sits in its
+stiffness row, which is the same in every member (checked against the
+member's column indices; a mismatch is a RuntimeError).  Its constraint
+values are looked up by position (_Entries), since the constraint rows hold
+entries outside the patch that differ between members.  Its right-hand side
+is the template's weighted by the coefficient on its children.  Each patch
+is solved once: classes of at most _DENSE_MAX_DOFS dofs as dense stacks of
+up to _STACK_BYTES of stiffness, Cholesky for each patch and its Schur
+complement, larger classes one patch at a time, each with one sparse SuperLU
+factorization of its stiffness, handed over as CSC so that it is factorized
+in the template's order.  A failure names the element of its patch.  The
+solver threads write each stack's solution into an array the calling thread
+allocated, which also forms each member's dofs and nodes from the template
+and the lattice offsets, so no solved block lives in a worker's malloc
+arena.  The (coarse dof, patch dofs, values) triplets are summed in
+ascending element order into the corrector matrix, built once, so outputs
+are bit-identical at any thread count of the localized solves.  The global
+correctors are the unbounded patch (order
 None): the A-orthogonal projections of the prolonged hats onto the kernel of
 the quasi-interpolation, x = p - A^-1 C'(C A^-1 C')^-1 C p
 (SaddleFactorization.project), a column per interior node, whose transposed
@@ -38,7 +49,7 @@ are sparse.  A multiscale space holds the one coarse system of its mode.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sparse
@@ -136,11 +147,12 @@ class _PatchTemplate:
     difference of the two members' lattice offsets."""
 
     element: int
-    dofs: np.ndarray       # (n,) fine interior dofs of the patch
+    dofs: np.ndarray       # (n,) fine interior dofs of the patch, in elimination order
     rows: np.ndarray       # (m,) coarse interior dofs of the nonzero constraint rows
     nodes: np.ndarray      # (k,) coarse interior dofs of the element, ascending
-    A: _Pattern            # (n, n) patch stiffness
-    C: _Pattern            # (m, n) constraint block
+    A: _Pattern            # (n, n) patch stiffness, sorted indices
+    ranks: np.ndarray      # (nnz(A),) each A entry's rank in its fine stiffness row
+    C: _Pattern            # (m, n) constraint block, sorted indices
     # Right-hand side at unit coefficient: for each (child element, interior
     # child vertex) pair, its child, its patch position and its k values.
     rhs_child: np.ndarray  # (q,)
@@ -156,8 +168,9 @@ class _PatchSolver:
         self.order, self.tol = order, tol
         self.labels, self.fine_offset, self.coarse_offset = patch_classes(
             hierarchy, order)
-        self.stiffness = _Entries(ops.stiffness_coeff)
+        self.stiffness = ops.stiffness_coeff
         self.constraints = _Entries(interp.matrix)
+        self.rank = np.argsort(hierarchy.fine.elimination_order)
         self.coeff = fem.coefficient_values(hierarchy.fine, ops.coeff)
         self.element_classes = patch_classes(hierarchy, 0)[0]
         self._children_rhs_cache = {}
@@ -180,22 +193,39 @@ class _PatchSolver:
             self.hierarchy.fine
         patch = element_patch(hierarchy, element, self.order)
         dofs = patch.fine_interior_dofs
+        dofs = dofs[np.argsort(self.rank[dofs])]
+        S = self.stiffness
+        # patch position of each fine dof (-1 outside), in scipy's index
+        # dtype, so that the A pattern built from it is as compact as scipy's
+        local = np.full(fine.n_interior, -1, dtype=S.indices.dtype)
+        local[dofs] = np.arange(dofs.size)
         nodes = np.sort(coarse.interior_index[coarse.triangles[element]])
         nodes = nodes[nodes >= 0]
         rows = coarse.interior_index[patch.active_coarse_nodes]
         C = self.interp.matrix[rows][:, dofs]
+        C.sort_indices()
         nonzero = np.flatnonzero(np.diff(C.indptr))  # empty rows constrain nothing
         C = C[nonzero]
-        A = self.ops.stiffness_coeff[dofs][:, dofs]
+        # The stiffness rows of the patch dofs, each entry with its rank in
+        # its row; those in patch columns, sorted by column, are A.
+        start, count = S.indptr[dofs], np.diff(S.indptr)[dofs]
+        row = np.repeat(np.arange(dofs.size), count)
+        rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        col = local[S.indices[start[row] + rank]]
+        inside = np.flatnonzero(col >= 0)
+        inside = inside[np.lexsort((col[inside], row[inside]))]
+        indptr = np.zeros(dofs.size + 1, dtype=S.indptr.dtype)
+        np.cumsum(np.bincount(row[inside], minlength=dofs.size), out=indptr[1:])
         corners = fine.triangles[hierarchy.children[element]]
-        inside = ~fine.boundary_flags[corners]
+        interior = ~fine.boundary_flags[corners]
         return _PatchTemplate(
             element=element, dofs=dofs, rows=rows[nonzero], nodes=nodes,
-            A=_Pattern(A.shape, A.indptr, A.indices),
+            A=_Pattern((dofs.size, dofs.size), indptr, col[inside]),
+            ranks=rank[inside].astype(np.min_scalar_type(rank.max())),
             C=_Pattern(C.shape, C.indptr, C.indices),
-            rhs_child=np.nonzero(inside)[0],
-            rhs_at=np.searchsorted(dofs, fine.interior_index[corners[inside]]),
-            rhs=self._children_rhs(element)[inside])
+            rhs_child=np.nonzero(interior)[0],
+            rhs_at=local[fine.interior_index[corners[interior]]],
+            rhs=self._children_rhs(element)[interior])
 
     def _children_rhs(self, element):
         """Each child's unit-coefficient rhs at its vertices, (children, 3,
@@ -218,40 +248,52 @@ class _PatchSolver:
                 for batch in np.split(children, range(size, children.size, size))])
         return self._children_rhs_cache[label]
 
-    def gather(self, stack):
-        """The members' (dofs, rows, nodes, a, c, rhs): their patch dofs,
-        constraint rows and element nodes (one row each), the values of the
-        template's A and C patterns, and the right-hand sides (P, n, k)."""
+    def place(self, stack):
+        """The members' patch dofs, constraint rows and element nodes, one
+        row each: the template's shifted by the members' lattice offsets."""
         t, members = stack
         shift = (self.fine_offset[members] - self.fine_offset[t.element])[:, None]
         coarse_shift = (self.coarse_offset[members]
                         - self.coarse_offset[t.element])[:, None]
-        dofs, rows = t.dofs + shift, t.rows + coarse_shift
-        a = self.stiffness.values(dofs[:, _entry_rows(t.A)], dofs[:, t.A.indices])
+        return t.dofs + shift, t.rows + coarse_shift, t.nodes + coarse_shift
+
+    def gather(self, stack):
+        """The members' (dofs, rows, nodes, a, c, rhs): their place, the
+        values of the template's A and C patterns, and the right-hand sides
+        (P, n, k).  A member's stiffness values are read at the template's
+        ranks in its stiffness rows, and its columns there must be the
+        template's, translated."""
+        t, members = stack
+        dofs, rows, nodes = self.place(stack)
+        S = self.stiffness
+        at = np.repeat(S.indptr[dofs], np.diff(t.A.indptr), axis=1) + t.ranks
+        if not np.array_equal(S.indices[at], dofs[:, t.A.indices]):
+            raise RuntimeError("patch stiffness rows differ from their template's")
         c = self.constraints.values(rows[:, _entry_rows(t.C)],
                                     dofs[:, t.C.indices])
         weights = self.coeff[self.hierarchy.children[members]][:, t.rhs_child]
         rhs = np.zeros((members.size, t.dofs.size, t.nodes.size))
         np.add.at(rhs, (slice(None), t.rhs_at), weights[:, :, None] * t.rhs)
-        return dofs, rows, t.nodes + coarse_shift, a, c, rhs
+        return dofs, rows, nodes, S.data[at], c, rhs
 
-    def solve(self, stack):
-        """(element, nodes, dofs, x) of each member of one stack (see stacks)."""
+    def solve(self, stack, out):
+        """Solve one stack (see stacks) into `out` (P, n, k), each member's
+        corrector block in its template's dof order."""
         t, members = stack
-        dofs, _, nodes, a, c, rhs = self.gather(stack)
+        _, _, _, a, c, rhs = self.gather(stack)
         if t.dofs.size <= _DENSE_MAX_DOFS:
             A, C, b = t.A.dense(a), t.C.dense(c), rhs
         else:
-            A, C, b = t.A.matrix(a[0]), t.C.matrix(c[0]), rhs[0]
+            # A is bit-symmetric, so its CSR arrays are its CSC arrays: the
+            # CSC system SuperLU factorizes in the template's order.
+            A, C, b = t.A.matrix(a[0]).T, t.C.matrix(c[0]), rhs[0]
         try:
             x, _ = SaddleFactorization(A, C).solve(b, self.tol)
         except SolverFailure as exc:
             element = members[exc.system or 0]
             raise SolverFailure(f"corrector patch of element {element}: {exc}",
                                 residual=exc.residual) from exc
-        x = x.reshape(rhs.shape)
-        return [(element, nodes[p], dofs[p], x[p])
-                for p, element in enumerate(members)]
+        out[...] = x.reshape(out.shape)
 
 
 def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
@@ -265,7 +307,19 @@ def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
     seeds = np.flatnonzero(
         (coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
     solver = _PatchSolver(hierarchy, ops, interp, order, tol)
-    stacks = solver.stacks(seeds)
+    blocks = []
+
+    def job(stack):
+        """The stack with the array its solution goes to.  Both the array
+        and the members' blocks over it are made here, on the calling
+        thread, so no solved block lives in a worker's malloc arena."""
+        t, members = stack
+        out = np.empty((members.size, t.dofs.size, t.nodes.size))
+        dofs, _, nodes = solver.place(stack)
+        blocks.extend(zip(members, nodes, dofs, out))
+        return stack, out
+
+    jobs = map(job, solver.stacks(seeds))
     # Templates are built as the stacks are drawn, so the pool takes them a
     # window at a time: drawn all at once they raised patch-large's peak RSS
     # by about 2%.  One thread stays off the pool: a 1-worker pool raised
@@ -274,14 +328,14 @@ def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
     workers = min(threads, len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers > 1:
-        solved = []
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            while window := list(islice(stacks, 16 * workers)):
-                solved += pool.map(solver.solve, window)
+            while window := list(islice(jobs, 16 * workers)):
+                list(pool.map(lambda job: solver.solve(*job), window))
     else:
-        solved = list(map(solver.solve, stacks))
-    return [block[1:] for block in sorted(chain.from_iterable(solved),
-                                          key=lambda block: block[0])]
+        for stack, out in jobs:
+            solver.solve(stack, out)
+    blocks.sort(key=lambda block: block[0])
+    return [block[1:] for block in blocks]
 
 
 def _merge(blocks, shape):

@@ -10,6 +10,14 @@ Vertex ids run row-major in y, ``v = j*(n+1) + i`` for grid point (i/n, j/n).
 Each grid square (ix, iy) contributes two triangles: the lower one
 ``2*(iy*n+ix)`` with vertices (v00, v10, v11) and the upper one
 ``2*(iy*n+ix)+1`` with vertices (v00, v11, v01), both counter-clockwise.
+
+Each mesh has one elimination order of its interior dofs, computed on first
+use: the nested dissection of the interior lattice (George, SIAM J. Numer.
+Anal. 1973).  A full grid line separates the lattice for the P1 stencil, so
+the middle line across the longer side splits a rectangle into two, which
+are ordered first, each the same way, and the line follows them.  Patch
+solvers list their dofs in this order and factorize in it, so the ordering
+is paid once per lattice and not once per factorization.
 """
 
 from dataclasses import dataclass
@@ -46,6 +54,12 @@ class TriMesh:
     def interior_vertices(self):
         """Vertex ids of interior dofs, ascending (dof k -> vertex id)."""
         return np.flatnonzero(~self.boundary_flags)
+
+    @cached_property
+    def elimination_order(self):
+        """Interior dofs in nested-dissection order (position -> dof)."""
+        side = self.cells_per_side - 1
+        return _dissection(side, side, {})
 
     @cached_property
     def element_areas(self):
@@ -151,6 +165,33 @@ def build_uniform_mesh(n):
         mesh_size=mesh_size,
         cells_per_side=n,
     )
+
+
+def _dissection(h, w, memo):
+    """Row-major positions of an h x w lattice in nested-dissection order.
+
+    The middle line across the longer side (the middle column on a tie)
+    separates the lattice: the part before it, then the part after it, each
+    ordered the same way, then the line itself.  The order of a rectangle
+    depends only on its shape, so `memo` keeps one per shape.
+    """
+    if h == 0 or w == 0:
+        return np.empty(0, dtype=np.int64)
+    if (h, w) not in memo:
+        # (height, width, offset) of the two parts, then the separator
+        if w >= h:
+            mid = w // 2
+            parts = [(h, mid, 0), (h, w - mid - 1, mid + 1), (h, 1, mid)]
+        else:
+            mid = h // 2
+            parts = [(mid, w, 0), (h - mid - 1, w, (mid + 1) * w),
+                     (1, w, mid * w)]
+        orders = [_dissection(a, b, memo) for a, b, _ in parts[:2]] + \
+            [np.arange(parts[2][0] * parts[2][1])]
+        memo[h, w] = np.concatenate([
+            order // b * w + order % b + offset
+            for order, (_, b, offset) in zip(orders, parts)])
+    return memo[h, w]
 
 
 def _locate_coarse_elements(coarse, points):

@@ -370,14 +370,20 @@ def test_project_refines_with_A_solves(rng, monkeypatch):
     assert_close(mu, mu_ref, 1e-13)
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric):
+@pytest.mark.parametrize("symmetric, constrained", [
+    (True, None), (False, None), (True, "csc"), (True, "csr")],
+    ids=["True", "False", "constrained-csc", "constrained-csr"])
+def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric,
+                                         constrained):
     """Without constraints, a bit-symmetric A is factorized in SuperLU's
-    symmetric mode and any other A with the default pivoted ordering; both
-    solve to the tolerance."""
+    symmetric mode and any other A with the default pivoted ordering.  With
+    constraints, a CSC A is factorized in the order it is given (NATURAL)
+    and a CSR A in the minimum-degree order, both in the symmetric mode.
+    Each solves to the tolerance."""
     A = random_spd(rng, 12)
     if not symmetric:
         A[0, 1] += 1e-3
+    C = rng.standard_normal((3 if constrained else 0, 12))
     splu, modes = linalg.spla.splu, []
 
     def recorded(matrix, **options):
@@ -386,9 +392,14 @@ def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric):
 
     monkeypatch.setattr(linalg.spla, "splu", recorded)
     b = rng.standard_normal(12)
-    x, _ = SaddleFactorization(csr(A), sparse.csr_matrix((0, 12))).solve(b)
-    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10)
-    assert modes == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+    matrix = sparse.csc_matrix(A) if constrained == "csc" else csr(A)
+    x, _ = SaddleFactorization(matrix, csr(C)).solve(b)
+    kkt = np.block([[A, C.T], [C, np.zeros((C.shape[0],) * 2)]])
+    expected = np.linalg.solve(kkt, np.concatenate([b, np.zeros(C.shape[0])]))
+    np.testing.assert_allclose(x, expected[:12], rtol=1e-10,
+                               atol=1e-12 * np.abs(expected).max())
+    order = "NATURAL" if constrained == "csc" else "MMD_AT_PLUS_A"
+    assert modes == [dict(permc_spec=order, diag_pivot_thresh=0,
                           options=dict(SymmetricMode=True))
                      if symmetric else {}]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -52,10 +53,13 @@ def element_contribution(hier, ops, interp, node, element, order):
     solved on its own."""
     solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
     (stack,) = solver.stacks(np.array([element]))
-    ((_, nodes, dofs, x),) = solver.solve(stack)
+    t, _ = stack
+    x = np.empty((1, t.dofs.size, t.nodes.size))
+    solver.solve(stack, x)
+    (dofs,), _, (nodes,) = solver.place(stack)
     column = list(nodes).index(hier.coarse.interior_index[node])
     out = np.zeros(hier.fine.n_interior)
-    out[dofs] = x[:, column]
+    out[dofs] = x[0, :, column]
     return out
 
 
@@ -415,29 +419,41 @@ def test_zero_corrector_set_is_plain_coarse_fem(problem):
 @pytest.mark.parametrize("coarse_n", [4, 8, 16])
 @pytest.mark.parametrize("refinements", [1, 2])
 def test_patch_templates_match_element_patch(coarse_n, refinements):
-    """For every element, at orders 1 to 3: the dofs, constraint rows and
-    element nodes of its translated class template, and its gathered blocks,
-    equal what element_patch and scipy fancy indexing give; its right-hand
-    side equals the hats' stiffness on its children.  The constraint block
-    of each class has full row rank."""
+    """For every element, at orders 1 to 3: its translated class template
+    has element_patch's dofs, listed in the template's elimination order
+    (the mesh order restricted to the template's patch), and the constraint
+    rows and element nodes element_patch gives; its gathered blocks hold the
+    entries and values of scipy's fancy-indexed blocks, both sides with
+    sorted indices; its right-hand side equals the hats' stiffness on its
+    children.  The constraint block of each class has full row rank."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n), refinements)
     coarse, fine = hier.coarse, hier.fine
     coeff = make_checkerboard(fine.cells_per_side, 1e4, 3, fine)
     ops = build_operators(fine, coeff, lambda x, y: x)
     interp = build_interpolation(hier)
+    rank = np.argsort(fine.elimination_order)
     seeds = np.flatnonzero((coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
+
+    def canonical(matrix):
+        matrix = matrix.copy()
+        matrix.sort_indices()
+        return matrix
+
     for order in (1, 2, 3):
         solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
         checked = 0
         for stack in solver.stacks(seeds):
             t, members = stack
+            assert np.all(np.diff(rank[t.dofs]) > 0)
             dofs, rows, nodes, a, c, rhs = solver.gather(stack)
             # full row rank, so that the Schur complement is SPD
             sigma = np.linalg.svd(t.C.matrix(c[0]).toarray(), compute_uv=False)
             assert sigma.min() >= 1e-3 * sigma.max()
             for p, element in enumerate(members):
                 patch = element_patch(hier, int(element), order)
-                np.testing.assert_array_equal(dofs[p], patch.fine_interior_dofs)
+                np.testing.assert_array_equal(np.sort(dofs[p]),
+                                              patch.fine_interior_dofs)
+                assert np.unique(dofs[p] - t.dofs).size == 1
                 C = interp.matrix[coarse.interior_index[
                     patch.active_coarse_nodes]][:, dofs[p]]
                 active = coarse.interior_index[patch.active_coarse_nodes]
@@ -446,6 +462,7 @@ def test_patch_templates_match_element_patch(coarse_n, refinements):
                 C = C[np.flatnonzero(np.diff(C.indptr))]
                 A = ops.stiffness_coeff[dofs[p]][:, dofs[p]]
                 for expected, got in ((A, t.A.matrix(a[p])), (C, t.C.matrix(c[p]))):
+                    expected, got = canonical(expected), canonical(got)
                     for name in ("indptr", "indices", "data"):
                         np.testing.assert_array_equal(getattr(got, name),
                                                       getattr(expected, name))
@@ -458,6 +475,59 @@ def test_patch_templates_match_element_patch(coarse_n, refinements):
                                            atol=1e-13 * np.abs(b).max())
                 checked += 1
         assert checked == seeds.size
+
+
+@pytest.mark.parametrize("fine_n, coarse_n, order",
+                         [(64, 8, 1), (64, 16, 3), (32, 4, 1)])
+def test_rank_gather_equals_entry_lookup(fine_n, coarse_n, order):
+    """Each member's stiffness values, read at its template's ranks (one
+    byte each), are bit for bit the values the searchsorted lookup finds at
+    the member's entries."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            int(np.log2(fine_n // coarse_n)))
+    coeff = make_checkerboard(fine_n, 1e4, 3, hier.fine)
+    ops = build_operators(hier.fine, coeff, lambda x, y: x)
+    solver = lod._PatchSolver(hier, ops, build_interpolation(hier), order, 1e-10)
+    lookup = lod._Entries(ops.stiffness_coeff)
+    coarse = hier.coarse
+    seeds = np.flatnonzero((coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
+    checked = 0
+    for stack in solver.stacks(seeds):
+        t, members = stack
+        assert t.ranks.dtype == np.uint8
+        dofs, _, _, a, _, _ = solver.gather(stack)
+        rows = np.repeat(np.arange(t.dofs.size), np.diff(t.A.indptr))
+        assert np.array_equal(a, lookup.values(dofs[:, rows],
+                                               dofs[:, t.A.indices]))
+        checked += members.size
+    assert checked == seeds.size
+
+
+def test_stiffness_row_layout_unlike_the_template_is_rejected():
+    """The same stiffness matrix with one row's entries stored in reverse,
+    in a member's patch away from its template, fails the gather of that
+    member with RuntimeError; the canonical matrix gathers it."""
+    hier = refine_hierarchy(build_uniform_mesh(8), 1)
+    ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
+                          lambda x, y: x)
+    interp = build_interpolation(hier)
+    solver = lod._PatchSolver(hier, ops, interp, 1, 1e-10)
+    seeds = np.flatnonzero(
+        (hier.coarse.interior_index[hier.coarse.triangles] >= 0).any(axis=1))
+    stack = next(s for s in solver.stacks(seeds) if s[1].size >= 2)
+    solver.gather(stack)
+    row = solver.place(stack)[0][1, 0]  # the second member's first dof
+    S = ops.stiffness_coeff
+    indices, data = S.indices.copy(), S.data.copy()
+    lo, hi = S.indptr[row], S.indptr[row + 1]
+    indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
+    reversed_row = sparse.csr_matrix((data, indices, S.indptr), shape=S.shape)
+    assert (reversed_row != S).nnz == 0
+    solver = lod._PatchSolver(hier, dataclasses.replace(
+        ops, stiffness_coeff=reversed_row), interp, 1, 1e-10)
+    stack = next(s for s in solver.stacks(seeds) if s[1].size >= 2)
+    with pytest.raises(RuntimeError, match="differ from their template"):
+        solver.gather(stack)
 
 
 @settings(max_examples=10)

@@ -71,6 +71,37 @@ def test_boundary_flags_match_coordinates():
         list(range(m.n_interior))
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 13, 32])
+def test_elimination_order_is_a_nested_dissection(n):
+    """The mesh order is a permutation of the interior dofs, kept once per
+    mesh, in which each rectangle of the interior lattice (the whole lattice
+    first) takes a contiguous run: its two halves, then its separator, the
+    middle line across its longer side (the middle column on a tie)."""
+    mesh = build_uniform_mesh(n)
+    order = mesh.elimination_order
+    assert mesh.elimination_order is order
+    np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_interior))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+
+    def check(ranks):
+        if ranks.size == 0:
+            return
+        assert ranks.max() - ranks.min() + 1 == ranks.size
+        axis = 1 if ranks.shape[1] >= ranks.shape[0] else 0
+        length = ranks.shape[axis]
+        line = np.unravel_index(ranks.argmax(), ranks.shape)[axis]
+        assert line in (length // 2, (length - 1) // 2)
+        separator = np.take(ranks, line, axis=axis)
+        halves = [np.take(ranks, range(line), axis=axis),
+                  np.take(ranks, range(line + 1, length), axis=axis)]
+        for half in halves:
+            assert half.size == 0 or half.max() < separator.min()
+            check(half)
+
+    check(rank.reshape(n - 1, n - 1))
+
+
 def test_mesh_size_is_max_diameter():
     m = build_uniform_mesh(8)
     diam = 0.0
