@@ -2,8 +2,7 @@
 
 from .coefficient import CoefficientField, make_checkerboard, make_constant, \
     make_periodic
-from .config import ConfigError, ExperimentConfig, load_config, parse_config, \
-    serialize_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .fem import AssembledOperators, assemble_load, assemble_mass, \
     assemble_stiffness, build_operators, error_norms, pad_full, solve_reference
 from .interpolation import InterpolationOperator, build_interpolation

@@ -1,11 +1,10 @@
 """Experiment configuration: flat key = value text files with # comments.
 
-Files are UTF-8, and lists are comma separated.  Every field serializes,
-so parse(serialize(c)) round-trips exactly for every valid config; for
-that, a text value may not hold `#` or a line break, or start or end with
-blanks.  Two presets ship: `desk` finishes full sweeps in minutes, `paper`
-runs the full-scale study (fine grid 256, coarse sizes 8..64, patch orders
-1..3).
+Files are UTF-8, and lists are comma separated.  A text value may not hold
+`#` or a line break, or start or end with blanks, so that every valid
+config can be written as such a file.  Two presets ship: `desk` finishes
+full sweeps in minutes, `paper` runs the full-scale study (fine grid 256,
+coarse sizes 8..64, patch orders 1..3).
 """
 
 import math
@@ -138,14 +137,3 @@ def load_config(path, base=None):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base)
-
-
-def serialize_config(cfg):
-    """Emit every field as key = value (lists comma separated)."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if f.type is tuple:
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"

@@ -16,23 +16,22 @@ dense Schur complement S = C A^-1 C' is Cholesky-factorized; S is positive
 definite because the constraints have full row rank (the rows of a
 quasi-interpolation are local and linearly independent).  Y = A^-1 C' is
 kept while it has at most twice the entries of SuperLU's factor, as for
-every patch of the paper grid; a whole-domain system, whose Y would be
-larger, keeps no n x m array: S is summed a column block at a time, and
-each application solves A^-1 (C'mu) once more.  An unconstrained solve
-Ax = b is the case of C with zero rows (m = 0), in which A need not be
-symmetric: SuperLU takes its symmetric mode when A equals its transpose
-bit for bit (as the fine stiffness does), and its default pivoted ordering
-otherwise (as for the Petrov-Galerkin matrix).  The A-orthogonal
+every patch of the paper grid; a whole-domain system keeps no n x m
+array (see SaddleFactorization).  An unconstrained solve Ax = b is the
+case of C with zero rows (m = 0), in which A need not be symmetric:
+SuperLU takes its symmetric mode when A equals its transpose bit for bit
+(as the fine stiffness does), and its default pivoted ordering otherwise
+(as for the Petrov-Galerkin matrix).  The A-orthogonal
 projection of p onto the kernel of C, x = p - A^-1 C'(C A^-1 C')^-1 C p,
 is the solve of b = A p; `project` starts that solve from u = A^-1 b = p,
 so that it does no A-solve of its right-hand sides.  A stack of small
 dense SPD systems, A of shape (P, n, n) with C of shape (P, m, n), is the
 batched case: LAPACK Cholesky factors each A and each S, and every step
 below works on the whole stack at once.  Right-hand sides are dense and
-worked on whole; only the columns of C' and, without Y, those of C'mu are
-solved in column blocks (see _BLOCK_BYTES).  The kernel polishes with
-iterative refinement; one per-column acceptance test decides both which
-columns are refined and whether the solve succeeds.  There is one failure
+worked on whole; only the columns of C' are solved in column blocks (see
+_BLOCK_BYTES).  The kernel polishes with iterative refinement; one
+per-column acceptance test decides both which columns are refined and
+whether the solve succeeds.  There is one failure
 type: a factorization that fails, or a solve that misses the test, raises
 SolverFailure; a missed solve carries the achieved residual, and a stack
 names its failing system.  Solves are pure functions of their inputs, so
@@ -48,9 +47,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 _REFINE_STEPS = 2
-# SuperLU solves the columns of C' (for Y or S) and, without Y, of C'mu in
-# blocks of about _BLOCK_BYTES and at least _MIN_BLOCK_COLUMNS columns, as it
-# copies its right-hand sides and allocates as much again for work.  On the
+# SuperLU solves the columns of C' (for Y or S) in blocks of about
+# _BLOCK_BYTES and at least _MIN_BLOCK_COLUMNS columns, as it copies its
+# right-hand sides and allocates as much again for work.  On the
 # global system at fine 128 it solves 8 columns at a time about 1.6 times
 # faster per column than 2.
 _BLOCK_BYTES = 2 ** 19
@@ -140,11 +139,11 @@ class SaddleFactorization:
     solves and Cholesky-factorized, so each application is u = A^-1 r,
     mu = S^-1 (C u - q), x = u - A^-1 C'mu.  Y = A^-1 C' is kept for the
     last step while n m is at most twice the entries of SuperLU's factor
-    (always for a stack); past that, x = u - A^-1 (C'mu) takes one more
-    A-solve and no n x m array is kept.  The constraints must have full
-    row rank, so that S is positive definite.  SuperLU factorizes a
-    constrained CSC A in the order it is given and any other sparse A in
-    its own.
+    (always for a stack); past that, S is summed a column block at a time,
+    x = u - A^-1 (C'mu) takes one more A-solve, and no n x m array is
+    kept.  The constraints must have full row rank, so that S is positive
+    definite.  SuperLU factorizes a constrained CSC A in the order it is
+    given and any other sparse A in its own.
 
     Given numpy stacks A (P, n, n) and C (P, m, n), it factorizes P systems
     at once and solves right-hand sides (P, n) or (P, n, k).  A factorization
@@ -203,11 +202,7 @@ class SaddleFactorization:
         if self.m == 0:
             return u, np.zeros(q.shape)
         mu = self._solve_S(self.C @ u - q)
-        if self._Y is not None:
-            u -= self._Y @ mu
-        else:
-            for cols in _column_blocks(u):
-                u[:, cols] -= self._solve_A(self.Ct @ mu[:, cols])
+        u -= self._solve_A(self.Ct @ mu) if self._Y is None else self._Y @ mu
         return u, mu
 
     def _residual(self, B, x, mu):

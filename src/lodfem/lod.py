@@ -34,16 +34,14 @@ allocated, which also forms each member's dofs and nodes from the template
 and the lattice offsets, so no solved block lives in a worker's malloc
 arena.  The (coarse dof, patch dofs, values) triplets are summed in
 ascending element order into the corrector matrix, built once, so outputs
-are bit-identical at any thread count of the localized solves.  The global
-correctors are the unbounded patch (order
-None): the A-orthogonal projections of the prolonged hats onto the kernel of
-the quasi-interpolation, x = p - A^-1 C'(C A^-1 C')^-1 C p
-(SaddleFactorization.project), a column per interior node, whose transposed
-dense block is the corrector matrix.  The same projection of the fine
-solution u is its part in the kernel, so u minus it is the Galerkin solution
-with the global correctors: the harness computes global rows that way, with
-no corrector set or basis.  The multiscale basis B = P - M' and its products
-are sparse.  A multiscale space holds the one coarse system of its mode.
+are bit-identical at any thread count of the localized solves.  No global
+corrector set is assembled: the A-orthogonal projection of the fine
+solution u onto the kernel, x = u - A^-1 C'(C A^-1 C')^-1 C u
+(SaddleFactorization.project), is its part there, so u - x is the Galerkin
+solution with the global correctors.  The harness computes global rows that
+way, and a global corrector as the projection of its hat.  The multiscale
+basis B = P - M' and its products are sparse.  A multiscale space holds the
+one coarse system of its mode.
 """
 
 import os
@@ -56,7 +54,7 @@ import scipy.sparse as sparse
 
 from . import fem
 from .linalg import SaddleFactorization, SolverFailure, spd_solve
-from .mesh import element_patch, patch_classes
+from .mesh import _check_order, element_patch, patch_classes
 
 # Patches of up to this many fine dofs are solved as dense stacks, larger
 # ones by SuperLU.  On one core both take about 2.1 ms per patch at 290
@@ -86,9 +84,8 @@ class MultiscaleSpace:
 
 
 def _kernel_projection(ops, interp, p, tol, where):
-    """The A-orthogonal projections of the dense fine columns `p` (or of one
-    vector) onto the kernel of the quasi-interpolation, solved on the whole
-    domain; a failure is named by `where`."""
+    """The A-orthogonal projection of the fine vector(s) `p` onto the kernel
+    of the quasi-interpolation, on the whole domain; failures name `where`."""
     try:
         x, _ = SaddleFactorization(ops.stiffness_coeff, interp.matrix).project(
             p, tol)
@@ -364,24 +361,12 @@ def _merge(blocks, shape):
 
 def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
                            threads=1):
-    """Correctors for every coarse interior node at patch order `order`.
-
-    A patch order k sums per-element solves on order-k patches (at most the
-    node's star size per node, in ascending element order).  order=None is
-    the unbounded patch, the global correctors: one whole-domain projection
-    of the dense block of all hats, whose columns are the rows of the matrix
-    (exact zeros, of either sign, not stored); it holds five to six such
-    dense blocks at once (6.2 at fine 64 / coarse 8, whose projection keeps
-    Y = A^-1 C', and 5.1 at fine 128 / coarse 16, whose projection does not).
-    """
-    coarse = hierarchy.coarse
-    if order is None:
-        return CorrectorSet(matrix=sparse.csr_matrix(_kernel_projection(
-            ops, interp, hierarchy.prolongation_interior.toarray(), tol,
-            "global correctors").T))
+    """Correctors for every coarse interior node, summed in ascending element
+    order from solves on the patches of order `order` (an integer >= 1)."""
+    _check_order(order)
     blocks = _localized_blocks(hierarchy, ops, interp, order, tol, threads)
     return CorrectorSet(matrix=_merge(
-        blocks, (coarse.n_interior, hierarchy.fine.n_interior)))
+        blocks, (hierarchy.coarse.n_interior, hierarchy.fine.n_interior)))
 
 
 def build_multiscale_space(hierarchy, ops, correctors, mode="galerkin"):

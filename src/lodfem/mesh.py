@@ -251,12 +251,17 @@ def _build_prolongation(coarse, fine):
     return full[:, coarse.interior_vertices].tocsr()
 
 
+def _check_order(order):
+    """ValueError unless `order` is a patch order: an integer l >= 1."""
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError(f"invalid patch order: need integer l >= 1, got {order!r}")
+
+
 def element_patch(hierarchy, element, order):
     """l-th order element patch: iterated vertex-adjacency closure of {K}."""
     coarse = hierarchy.coarse
     fine = hierarchy.fine
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"invalid patch order: need integer l >= 1, got {order!r}")
+    _check_order(order)
     if element < 0 or element >= coarse.n_triangles:
         raise IndexError(f"coarse element {element} out of range")
 

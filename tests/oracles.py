@@ -3,12 +3,13 @@
 The oracles recompute quantities from first principles (plane fits for
 gradients, pointwise quadrature, dense linear algebra) without touching the
 package's assembly routines, so matches against these values are meaningful.
-The measurements at the end (a single global corrector, node stars,
+The measurements at the end (the global correctors, node stars,
 empirical interpolation constants, decay-rate fits) are analysis helpers that
 only the tests use.
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
 from lodfem import fem, harness, lod
 
@@ -212,6 +213,21 @@ def global_corrector(hierarchy, ops, interp, node, tol=1e-10):
     hat = hierarchy.prolongation_interior[:, dof].toarray().ravel()
     return lod._kernel_projection(ops, interp, hat, tol,
                                   f"global corrector at node {node}")
+
+
+def global_corrector_set(hierarchy, ops, interp, tol=1e-10):
+    """The global correctors, which the localized ones approximate and equal
+    at patch saturation, as a CorrectorSet: one whole-domain projection
+    (lod._kernel_projection) of the dense block of all prolonged hats, whose
+    column i is row i of the matrix (exact zeros, of either sign, not
+    stored).  It holds about six dense n_fine_interior x n_coarse_interior
+    arrays at once (6.1 at fine 64 / coarse 8, whose projection keeps
+    Y = A^-1 C', and 6.0 at fine 128 / coarse 16, whose projection does not
+    and solves A^-1 (C'mu) for all columns in one call), so it is for small
+    problems."""
+    hats = hierarchy.prolongation_interior.toarray()
+    return lod.CorrectorSet(matrix=sparse.csr_matrix(lod._kernel_projection(
+        ops, interp, hats, tol, "global correctors").T))
 
 
 def diagonal_orders(cfg, diagonal):

@@ -21,7 +21,8 @@ from lodfem.harness import run_convergence, run_decay
 from lodfem.lod import assemble_corrector_set
 
 import oracles
-from oracles import fit_decay, global_corrector, node_star
+from oracles import fit_decay, global_corrector, global_corrector_set, \
+    node_star
 
 
 @contextmanager
@@ -165,7 +166,7 @@ def test_criterion_4_localization_saturation():
             element_patch(hier, k, order).coarse_elements.size == nt
             for k in range(nt)))
 
-        global_set = assemble_corrector_set(hier, ops, interp, order=None)
+        global_set = global_corrector_set(hier, ops, interp)
         local_set = assemble_corrector_set(hier, ops, interp, order=l_sat)
         S = ops.stiffness_coeff
         for i in range(global_set.matrix.shape[0]):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lodfem import ConfigError, ExperimentConfig, harness, linalg, lod, \
-    parse_config, serialize_config
+    parse_config
 from lodfem.cli import main
 from lodfem.config import DESK_PRESET, MODES, PAPER_PRESET, RHS_NAMES, \
     TIMING_MODES
@@ -13,6 +13,17 @@ from lodfem.harness import CSV_HEADER, run_coeff_export, run_convergence, \
     run_decay, run_solve
 
 import oracles
+
+
+def serialize_config(cfg):
+    """Every field of `cfg` as key = value lines (lists comma separated)."""
+    lines = []
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if f.type is tuple:
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def cfg(**kw):

@@ -16,7 +16,8 @@ from lodfem import ExperimentConfig, SolverFailure, build_interpolation, \
     solve_reference
 from lodfem.lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set
 
-from oracles import fit_decay, global_corrector, node_star
+from oracles import fit_decay, global_corrector, global_corrector_set, \
+    node_star
 
 
 def saturation_order(hier):
@@ -108,11 +109,22 @@ def test_corrector_nonzero_for_constant_coefficient(small_hierarchy):
 
 def test_corrector_set_satisfies_constraints(problem):
     hier, ops, interp = problem
-    for order in (None, 2):
-        cs = assemble_corrector_set(hier, ops, interp, order=order)
+    for cs in (global_corrector_set(hier, ops, interp),
+               assemble_corrector_set(hier, ops, interp, order=2)):
         for i in range(cs.matrix.shape[0]):
             phi = cs.matrix.getrow(i).toarray().ravel()
             assert np.linalg.norm(interp.matrix @ phi) <= 1e-9
+
+
+@pytest.mark.parametrize("order", [None, 0, 1.5])
+def test_corrector_set_rejects_invalid_order_up_front(small_hierarchy, order):
+    """A patch order that is not an integer >= 1 raises element_patch's
+    ValueError, before the operators are read."""
+    with pytest.raises(ValueError, match="invalid patch order") as rejected:
+        assemble_corrector_set(small_hierarchy, None, None, order=order)
+    with pytest.raises(ValueError) as by_patch:
+        element_patch(small_hierarchy, 0, order)
+    assert str(rejected.value) == str(by_patch.value)
 
 
 def test_local_corrector_supported_in_patch(problem):
@@ -133,15 +145,16 @@ def test_local_corrector_supported_in_patch(problem):
 def test_local_correctors_sum_to_global_at_saturation(fine_n, coarse_n,
                                                       log_contrast, seed):
     """At the order where every patch is the whole mesh, the assembled
-    localized correctors equal the global ones (order=None) to 1e-8 in
-    energy, row by row."""
+    localized correctors equal the global ones to 1e-8 in energy, row by
+    row."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
                             int(np.log2(fine_n // coarse_n)))
     coeff = make_checkerboard(fine_n, 10.0 ** log_contrast, seed, hier.fine)
     ops = build_operators(hier.fine, coeff, lambda x, y: x)
     interp = build_interpolation(hier)
-    local, whole = (assemble_corrector_set(hier, ops, interp, order=order)
-                    for order in (saturation_order(hier), None))
+    local = assemble_corrector_set(hier, ops, interp,
+                                   order=saturation_order(hier))
+    whole = global_corrector_set(hier, ops, interp)
     diff = (local.matrix - whole.matrix).toarray()
     assert max(energy(ops, row) for row in diff) <= 1e-8
 
@@ -161,7 +174,7 @@ def test_assemble_matches_manual_star_sums(problem):
 
 def test_localized_truncation_decreases_with_order(problem):
     hier, ops, interp = problem
-    gs = assemble_corrector_set(hier, ops, interp, order=None)
+    gs = global_corrector_set(hier, ops, interp)
     errors = []
     for order in (1, 2, 3):
         ls = assemble_corrector_set(hier, ops, interp, order=order)
@@ -246,7 +259,7 @@ def test_multiscale_zero_rhs(problem):
     hier, ops, interp = problem
     zero_ops = build_operators(hier.fine, ops.coeff,
                                lambda x, y: np.zeros_like(x))
-    cs = assemble_corrector_set(hier, zero_ops, interp, order=None)
+    cs = global_corrector_set(hier, zero_ops, interp)
     space = build_multiscale_space(hier, zero_ops, cs)
     coeffs, fine = solve_multiscale(space)
     assert np.all(coeffs == 0) and np.all(fine == 0)
@@ -254,7 +267,7 @@ def test_multiscale_zero_rhs(problem):
 
 def test_multiscale_galerkin_residual(problem):
     hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, order=None)
+    cs = global_corrector_set(hier, ops, interp)
     space = build_multiscale_space(hier, ops, cs)
     coeffs, fine = solve_multiscale(space)
     residual = space.gram @ coeffs - space.load
@@ -266,7 +279,7 @@ def test_multiscale_galerkin_residual(problem):
 
 def test_orthogonal_splitting(problem, rng):
     hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, order=None)
+    cs = global_corrector_set(hier, ops, interp)
     space = build_multiscale_space(hier, ops, cs)
     P = hier.prolongation_interior
     C = interp.matrix
@@ -283,7 +296,7 @@ def test_orthogonal_splitting(problem, rng):
 
 def test_localized_solution_converges_to_global(problem):
     hier, ops, interp = problem
-    gs = assemble_corrector_set(hier, ops, interp, order=None)
+    gs = global_corrector_set(hier, ops, interp)
     _, u_global = solve_multiscale(build_multiscale_space(hier, ops, gs))
     l_sat = saturation_order(hier)
     dist = []
@@ -299,7 +312,7 @@ def test_petrov_galerkin_with_global_correctors(problem):
     # with global correctors a(b_a, hat_b) = a(b_a, b_b) exactly, so the two
     # coarse systems share their matrix and differ only through the load
     hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, order=None)
+    cs = global_corrector_set(hier, ops, interp)
     space = build_multiscale_space(hier, ops, cs)
     space_pg = build_multiscale_space(hier, ops, cs, "petrov_galerkin")
     np.testing.assert_allclose(space_pg.gram.toarray(), space.gram.toarray(),
@@ -327,7 +340,7 @@ def test_multiscale_convergence_with_global_correctors():
         hier = refine_hierarchy(build_uniform_mesh(nc),
                                 int(np.log2(32 // nc)))
         interp = build_interpolation(hier)
-        cs = assemble_corrector_set(hier, ops, interp, order=None)
+        cs = global_corrector_set(hier, ops, interp)
         _, u_ms = solve_multiscale(build_multiscale_space(hier, ops, cs))
         errors.append(error_norms(u_ms, u_ref, ops)[1])
     assert np.log2(errors[0] / errors[1]) >= 0.9
@@ -580,28 +593,6 @@ def test_failing_later_member_names_its_element(monkeypatch):
         f"corrector patch of element {failing[0]}: ")
 
 
-def test_global_csr_is_the_merge_of_its_dense_block(problem, monkeypatch):
-    """The global corrector matrix is built straight from the dense
-    projection of the hats, row i from column i, and equals _merge of that
-    block in every CSR array, exact zeros of either sign dropped."""
-    hier, ops, interp = problem
-    shape = (hier.coarse.n_interior, hier.fine.n_interior)
-    X = lod._kernel_projection(ops, interp,
-                               hier.prolongation_interior.toarray(), 1e-10,
-                               "global correctors")
-    matrix = assemble_corrector_set(hier, ops, interp, order=None).matrix
-    zeroed = X.copy()
-    zeroed[[5, 40], [2, 3]] = 0.0, -0.0
-    monkeypatch.setattr(lod, "_kernel_projection", lambda *args: zeroed)
-    direct = assemble_corrector_set(hier, ops, interp, order=None).matrix
-    merged = [lod._merge([(np.arange(shape[0]), np.arange(shape[1]), block)],
-                         shape) for block in (X, zeroed)]
-    assert direct.nnz == merged[0].nnz - 2
-    for got, expected in zip((matrix, direct), merged):
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(expected, name))
-
-
 def test_global_correctors_solve_no_right_hand_side(problem, monkeypatch):
     """The global correctors are the projection of the hats: SuperLU never
     solves the right-hand sides A p.  At fine 16 and coarse 4, Y = A^-1 C'
@@ -678,7 +669,7 @@ def test_global_row_is_the_galerkin_solution(fine_n, coarse_n, log_contrast,
     hier, ops, interp, u_ref, (errors, count, u_row) = _global_row(
         fine_n, coarse_n, 10.0 ** log_contrast, seed)
     assert count == hier.coarse.n_interior
-    cs = assemble_corrector_set(hier, ops, interp, order=None)
+    cs = global_corrector_set(hier, ops, interp)
     _, u_ms = solve_multiscale(build_multiscale_space(hier, ops, cs))
     assert np.linalg.norm(u_row - u_ms) <= 1e-10 * np.linalg.norm(u_ms)
     for got, expected in zip(errors, error_norms(u_ms, u_ref, ops)):
@@ -723,8 +714,9 @@ def test_coarse_galerkin_matrix_is_spd(fine_n, coarse_n, order, log_contrast,
                             int(np.log2(fine_n // coarse_n)))
     coeff = make_checkerboard(fine_n, 10.0 ** log_contrast, seed, hier.fine)
     ops = build_operators(hier.fine, coeff, lambda x, y: x)
-    cs = assemble_corrector_set(hier, ops, build_interpolation(hier),
-                                order=order)
+    interp = build_interpolation(hier)
+    cs = global_corrector_set(hier, ops, interp) if order is None else \
+        assemble_corrector_set(hier, ops, interp, order=order)
     gram = build_multiscale_space(hier, ops, cs).gram.toarray()
     assert np.abs(gram - gram.T).max() <= 1e-12 * np.abs(gram).max()
     np.linalg.cholesky(gram)
