@@ -25,7 +25,9 @@ from . import fem
 @dataclass(eq=False)
 class InterpolationOperator:
     matrix: sparse.csr_matrix       # coarse interior nodes x fine interior dofs
-    matrix_full: sparse.csr_matrix  # coarse interior nodes x all fine vertices
+    # coarse interior nodes x all fine vertices, one row layout about every
+    # node: the patch solver reads its constraint values here by rank
+    matrix_full: sparse.csr_matrix
     denominators: np.ndarray        # per coarse interior node, > 0
 
 

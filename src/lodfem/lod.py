@@ -17,18 +17,20 @@ elimination order (TriMesh.elimination_order), its nonzero constraint rows,
 the sparsity of its stiffness and constraint blocks (CSR with sorted
 indices), and the unit-coefficient right-hand side of each child element.
 Every member lists its dofs in the template's order, moved by its lattice
-offset.  A member's stiffness values are read from the fine stiffness's CSR
-data at the template's ranks: where each template entry sits in its
-stiffness row, which is the same in every member (checked against the
-member's column indices; a mismatch is a RuntimeError).  Its constraint
-values are looked up by position (_Entries), since the constraint rows hold
-entries outside the patch that differ between members.  Its right-hand side
-is the template's weighted by the coefficient on its children.  Each patch
-is solved once: classes of at most _DENSE_MAX_DOFS dofs as dense stacks of
-up to _STACK_BYTES of stiffness, Cholesky for each patch and its Schur
-complement, larger classes one patch at a time, each with one sparse SuperLU
-factorization of its stiffness, handed over as CSC so that it is factorized
-in the template's order.  A failure names the element of its patch.  The
+offset.  A member's values of both blocks are read from CSR data, of the
+fine stiffness and of interp.matrix_full, at the template's ranks: where
+each template entry sits in its row, which is the same in every member
+(checked against the member's column indices; a mismatch is a
+RuntimeError).  The constraint rows are read from matrix_full because its
+columns are all fine vertices, so every row has one layout about its node;
+interp.matrix drops the boundary vertices, and its row layouts change near
+the boundary.  A member's right-hand side is the template's weighted by the
+coefficient on its children.  Each patch is solved once: classes of at
+most _DENSE_MAX_DOFS dofs as dense stacks of up to _STACK_BYTES of
+stiffness, Cholesky for each patch and its Schur complement, larger classes
+one patch at a time, each with one sparse SuperLU factorization of its
+stiffness, handed over as CSC so that it is factorized in the template's
+order.  A failure names the element of its patch.  The
 solver threads write each stack's solution into an array the calling thread
 allocated, which also forms each member's dofs and nodes from the template
 and the lattice offsets, so no solved block lives in a worker's malloc
@@ -94,37 +96,43 @@ def _kernel_projection(ops, interp, p, tol, where):
     return x
 
 
-class _Entries:
-    """Values of a CSR matrix's stored entries, looked up by position."""
-
-    def __init__(self, matrix):
-        if not matrix.has_canonical_format:
-            matrix = matrix.copy()
-            matrix.sum_duplicates()
-        self.data, self.width = matrix.data, matrix.shape[1]
-        self.keys = _entry_rows(matrix) * self.width + matrix.indices
-
-    def values(self, rows, cols):
-        """Stored values at (rows, cols); each must be a stored entry."""
-        wanted = rows * self.width + cols
-        at = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
-        if not np.array_equal(self.keys[at], wanted):
-            raise RuntimeError("patch entry outside the matrix pattern")
-        return self.data[at]
-
-
-def _entry_rows(matrix):
-    """Row index of each stored entry of a CSR matrix or pattern."""
-    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-
-
 @dataclass(eq=False)
 class _Pattern:
-    """Where a patch block stores its entries, in CSR layout."""
+    """Where a patch block stores its entries, in CSR layout with sorted
+    indices, and where each entry sits in its row of the matrix it is read
+    from."""
 
     shape: tuple
     indptr: np.ndarray
     indices: np.ndarray
+    ranks: np.ndarray      # (nnz,) each entry's rank in its row of the matrix
+
+    @classmethod
+    def of(cls, matrix, rows, local, n):
+        """The block of CSR `matrix` at `rows` and at the columns `local`
+        maps to patch positions 0..n-1 (-1 elsewhere), rows that store none
+        of them left out: (the rows kept, the block's pattern)."""
+        start, count = matrix.indptr[rows], np.diff(matrix.indptr)[rows]
+        row = np.repeat(np.arange(rows.size), count)
+        rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        col = local[matrix.indices[start[row] + rank]]
+        inside = np.flatnonzero(col >= 0)
+        inside = inside[np.lexsort((col[inside], row[inside]))]
+        count = np.bincount(row[inside], minlength=rows.size)
+        kept = np.flatnonzero(count)
+        indptr = np.zeros(kept.size + 1, dtype=matrix.indptr.dtype)
+        np.cumsum(count[kept], out=indptr[1:])
+        return rows[kept], cls((kept.size, n), indptr, col[inside],
+                               rank[inside].astype(np.min_scalar_type(rank.max())))
+
+    def read(self, matrix, rows, cols, name):
+        """The block's values in each member, (P, nnz): the data of CSR
+        `matrix` at the members' `rows` (P, shape[0]) and this pattern's
+        ranks, whose column indices must be the members' `cols` (P, nnz)."""
+        at = np.repeat(matrix.indptr[rows], np.diff(self.indptr), axis=1) + self.ranks
+        if not np.array_equal(matrix.indices[at], cols):
+            raise RuntimeError(f"patch {name} rows differ from their template's")
+        return matrix.data[at]
 
     def matrix(self, data):
         return sparse.csr_matrix((data, self.indices, self.indptr),
@@ -133,7 +141,8 @@ class _Pattern:
     def dense(self, data):
         """Dense stack (P, *shape) of the blocks with values `data` (P, nnz)."""
         out = np.zeros((data.shape[0], *self.shape))
-        out[:, _entry_rows(self), self.indices] = data
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        out[:, rows, self.indices] = data
         return out
 
 
@@ -147,9 +156,8 @@ class _PatchTemplate:
     dofs: np.ndarray       # (n,) fine interior dofs of the patch, in elimination order
     rows: np.ndarray       # (m,) coarse interior dofs of the nonzero constraint rows
     nodes: np.ndarray      # (k,) coarse interior dofs of the element, ascending
-    A: _Pattern            # (n, n) patch stiffness, sorted indices
-    ranks: np.ndarray      # (nnz(A),) each A entry's rank in its fine stiffness row
-    C: _Pattern            # (m, n) constraint block, sorted indices
+    A: _Pattern            # (n, n) patch stiffness, ranks in the fine stiffness
+    C: _Pattern            # (m, n) constraint block, ranks in interp.matrix_full
     # Right-hand side at unit coefficient: for each (child element, interior
     # child vertex) pair, its child, its patch position and its k values.
     rhs_child: np.ndarray  # (q,)
@@ -161,12 +169,11 @@ class _PatchSolver:
     """Localized corrector blocks of coarse elements, solved by patch class."""
 
     def __init__(self, hierarchy, ops, interp, order, tol):
-        self.hierarchy, self.ops, self.interp = hierarchy, ops, interp
+        self.hierarchy, self.interp = hierarchy, interp
         self.order, self.tol = order, tol
         self.labels, self.fine_offset, self.coarse_offset = patch_classes(
             hierarchy, order)
         self.stiffness = ops.stiffness_coeff
-        self.constraints = _Entries(interp.matrix)
         self.rank = np.argsort(hierarchy.fine.elimination_order)
         self.coeff = fem.coefficient_values(hierarchy.fine, ops.coeff)
         self.element_classes = patch_classes(hierarchy, 0)[0]
@@ -191,37 +198,24 @@ class _PatchSolver:
         patch = element_patch(hierarchy, element, self.order)
         dofs = patch.fine_interior_dofs
         dofs = dofs[np.argsort(self.rank[dofs])]
-        S = self.stiffness
-        # patch position of each fine dof (-1 outside), in scipy's index
-        # dtype, so that the A pattern built from it is as compact as scipy's
-        local = np.full(fine.n_interior, -1, dtype=S.indices.dtype)
-        local[dofs] = np.arange(dofs.size)
+        # patch position of each fine vertex (-1 outside), in scipy's index
+        # dtype, so that the patterns built from it are as compact as scipy's
+        local = np.full(fine.n_vertices, -1, dtype=self.stiffness.indices.dtype)
+        local[fine.interior_vertices[dofs]] = np.arange(dofs.size)
         nodes = np.sort(coarse.interior_index[coarse.triangles[element]])
         nodes = nodes[nodes >= 0]
-        rows = coarse.interior_index[patch.active_coarse_nodes]
-        C = self.interp.matrix[rows][:, dofs]
-        C.sort_indices()
-        nonzero = np.flatnonzero(np.diff(C.indptr))  # empty rows constrain nothing
-        C = C[nonzero]
-        # The stiffness rows of the patch dofs, each entry with its rank in
-        # its row; those in patch columns, sorted by column, are A.
-        start, count = S.indptr[dofs], np.diff(S.indptr)[dofs]
-        row = np.repeat(np.arange(dofs.size), count)
-        rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        col = local[S.indices[start[row] + rank]]
-        inside = np.flatnonzero(col >= 0)
-        inside = inside[np.lexsort((col[inside], row[inside]))]
-        indptr = np.zeros(dofs.size + 1, dtype=S.indptr.dtype)
-        np.cumsum(np.bincount(row[inside], minlength=dofs.size), out=indptr[1:])
+        _, A = _Pattern.of(self.stiffness, dofs, local[fine.interior_vertices],
+                           dofs.size)
+        # rows with no entry in the patch constrain nothing
+        rows, C = _Pattern.of(self.interp.matrix_full,
+                              coarse.interior_index[patch.active_coarse_nodes],
+                              local, dofs.size)
         corners = fine.triangles[hierarchy.children[element]]
         interior = ~fine.boundary_flags[corners]
         return _PatchTemplate(
-            element=element, dofs=dofs, rows=rows[nonzero], nodes=nodes,
-            A=_Pattern((dofs.size, dofs.size), indptr, col[inside]),
-            ranks=rank[inside].astype(np.min_scalar_type(rank.max())),
-            C=_Pattern(C.shape, C.indptr, C.indices),
+            element=element, dofs=dofs, rows=rows, nodes=nodes, A=A, C=C,
             rhs_child=np.nonzero(interior)[0],
-            rhs_at=local[fine.interior_index[corners[interior]]],
+            rhs_at=local[corners[interior]],
             rhs=self._children_rhs(element)[interior])
 
     def _children_rhs(self, element):
@@ -257,21 +251,19 @@ class _PatchSolver:
     def gather(self, stack):
         """The members' (dofs, rows, nodes, a, c, rhs): their place, the
         values of the template's A and C patterns, and the right-hand sides
-        (P, n, k).  A member's stiffness values are read at the template's
-        ranks in its stiffness rows, and its columns there must be the
-        template's, translated."""
+        (P, n, k).  A member's values are read at the template's ranks in
+        its rows of the fine stiffness and of interp.matrix_full, and its
+        columns there must be the template's, translated."""
         t, members = stack
         dofs, rows, nodes = self.place(stack)
-        S = self.stiffness
-        at = np.repeat(S.indptr[dofs], np.diff(t.A.indptr), axis=1) + t.ranks
-        if not np.array_equal(S.indices[at], dofs[:, t.A.indices]):
-            raise RuntimeError("patch stiffness rows differ from their template's")
-        c = self.constraints.values(rows[:, _entry_rows(t.C)],
-                                    dofs[:, t.C.indices])
+        a = t.A.read(self.stiffness, dofs, dofs[:, t.A.indices], "stiffness")
+        c = t.C.read(self.interp.matrix_full, rows,
+                     self.hierarchy.fine.interior_vertices[dofs[:, t.C.indices]],
+                     "constraint")
         weights = self.coeff[self.hierarchy.children[members]][:, t.rhs_child]
         rhs = np.zeros((members.size, t.dofs.size, t.nodes.size))
         np.add.at(rhs, (slice(None), t.rhs_at), weights[:, :, None] * t.rhs)
-        return dofs, rows, nodes, S.data[at], c, rhs
+        return dofs, rows, nodes, a, c, rhs
 
     def solve(self, stack, out):
         """Solve one stack (see stacks) into `out` (P, n, k), each member's
@@ -296,8 +288,8 @@ class _PatchSolver:
 def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
     """(nodes, dofs, x) of every element's patch, in ascending element order.
 
-    The patch solver and its lookup tables are gone when this returns, so
-    the merge that follows does not hold them.
+    The patch solver and its templates are gone when this returns, so the
+    merge that follows does not hold them.
     """
     coarse = hierarchy.coarse
     # elements with only boundary vertices seed no corrector

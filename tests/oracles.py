@@ -1,8 +1,9 @@
 """Independent brute-force oracles and test-side measurements.
 
 The oracles recompute quantities from first principles (plane fits for
-gradients, pointwise quadrature, dense linear algebra) without touching the
-package's assembly routines, so matches against these values are meaningful.
+gradients, pointwise quadrature, dense linear algebra, a key search for
+sparse entries) without touching the package's assembly routines, so
+matches against these values are meaningful.
 The measurements at the end (the global correctors, node stars,
 empirical interpolation constants, decay-rate fits) are analysis helpers that
 only the tests use.
@@ -181,6 +182,21 @@ def dense_kkt_solve(A, C, b):
     rhs = np.concatenate([b, np.zeros(m)])
     z = np.linalg.solve(K, rhs)
     return z[:n], z[n:]
+
+
+def entry_values(matrix, rows, cols):
+    """Stored values of a CSR matrix at (rows, cols), found by a binary
+    search over the keys row * width + column of its entries; each pair
+    must be a stored entry."""
+    matrix = matrix.copy()
+    matrix.sum_duplicates()
+    width = matrix.shape[1]
+    keys = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)) * width \
+        + matrix.indices
+    wanted = rows * width + cols
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    assert np.array_equal(keys[at], wanted), "entry outside the matrix pattern"
+    return matrix.data[at]
 
 
 def error_vs_function(mesh, u_full, u_exact, grad_exact):

@@ -29,6 +29,24 @@ def test_rows_supported_in_node_stars(small_hierarchy, op):
         assert set(support) <= allowed
 
 
+@pytest.mark.parametrize("fine_n, coarse_n",
+                         [(16, 4), (64, 8), (64, 16), (128, 32)])
+def test_full_rows_share_one_layout_about_their_node(fine_n, coarse_n):
+    """Every row of matrix_full stores its columns at the same lattice
+    offsets from its node's fine vertex, in the same order, so that a
+    patch template's ranks in its rows hold in every translate."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            int(np.log2(fine_n // coarse_n)))
+    full = build_interpolation(hier).matrix_full
+    widths = np.diff(full.indptr)
+    assert np.all(widths == widths[0])
+    nodes = hier.coarse.vertices[hier.coarse.interior_vertices]
+    offsets = np.rint((hier.fine.vertices[full.indices]
+                       - np.repeat(nodes, widths, axis=0)) * fine_n).astype(int)
+    offsets = offsets.reshape(widths.size, widths[0], 2)
+    assert np.array_equal(offsets, np.broadcast_to(offsets[0], offsets.shape))
+
+
 def test_constant_function_value(small_hierarchy, op):
     """Full-dof evaluation of v = 1: value is hat volume over normalization."""
     hier = small_hierarchy

@@ -16,8 +16,8 @@ from lodfem import ExperimentConfig, SolverFailure, build_interpolation, \
     solve_reference
 from lodfem.lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set
 
-from oracles import fit_decay, global_corrector, global_corrector_set, \
-    node_star
+from oracles import entry_values, fit_decay, global_corrector, \
+    global_corrector_set, node_star
 
 
 def saturation_order(hier):
@@ -493,33 +493,40 @@ def test_patch_templates_match_element_patch(coarse_n, refinements):
 @pytest.mark.parametrize("fine_n, coarse_n, order",
                          [(64, 8, 1), (64, 16, 3), (32, 4, 1)])
 def test_rank_gather_equals_entry_lookup(fine_n, coarse_n, order):
-    """Each member's stiffness values, read at its template's ranks (one
-    byte each), are bit for bit the values the searchsorted lookup finds at
-    the member's entries."""
+    """Each member's stiffness and constraint values, read at its
+    template's ranks (one byte each), are bit for bit the values a key
+    search finds at the member's entries of the fine stiffness and of
+    interp.matrix."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
                             int(np.log2(fine_n // coarse_n)))
     coeff = make_checkerboard(fine_n, 1e4, 3, hier.fine)
     ops = build_operators(hier.fine, coeff, lambda x, y: x)
-    solver = lod._PatchSolver(hier, ops, build_interpolation(hier), order, 1e-10)
-    lookup = lod._Entries(ops.stiffness_coeff)
+    interp = build_interpolation(hier)
+    solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
     coarse = hier.coarse
     seeds = np.flatnonzero((coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
     checked = 0
     for stack in solver.stacks(seeds):
         t, members = stack
-        assert t.ranks.dtype == np.uint8
-        dofs, _, _, a, _, _ = solver.gather(stack)
-        rows = np.repeat(np.arange(t.dofs.size), np.diff(t.A.indptr))
-        assert np.array_equal(a, lookup.values(dofs[:, rows],
-                                               dofs[:, t.A.indices]))
+        assert t.A.ranks.dtype == t.C.ranks.dtype == np.uint8
+        dofs, rows, _, a, c, _ = solver.gather(stack)
+        a_rows = np.repeat(np.arange(t.dofs.size), np.diff(t.A.indptr))
+        assert np.array_equal(a, entry_values(ops.stiffness_coeff,
+                                              dofs[:, a_rows],
+                                              dofs[:, t.A.indices]))
+        c_rows = np.repeat(np.arange(t.rows.size), np.diff(t.C.indptr))
+        assert np.array_equal(c, entry_values(interp.matrix, rows[:, c_rows],
+                                              dofs[:, t.C.indices]))
         checked += members.size
     assert checked == seeds.size
 
 
-def test_stiffness_row_layout_unlike_the_template_is_rejected():
-    """The same stiffness matrix with one row's entries stored in reverse,
-    in a member's patch away from its template, fails the gather of that
-    member with RuntimeError; the canonical matrix gathers it."""
+@pytest.mark.parametrize("block", ["stiffness", "constraint"])
+def test_row_layout_unlike_the_template_is_rejected(block):
+    """The same fine stiffness or interp.matrix_full with one row's entries
+    stored in reverse, in a member's patch away from its template, fails the
+    gather of that member with RuntimeError; the canonical matrix gathers
+    it."""
     hier = refine_hierarchy(build_uniform_mesh(8), 1)
     ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
                           lambda x, y: x)
@@ -529,15 +536,20 @@ def test_stiffness_row_layout_unlike_the_template_is_rejected():
         (hier.coarse.interior_index[hier.coarse.triangles] >= 0).any(axis=1))
     stack = next(s for s in solver.stacks(seeds) if s[1].size >= 2)
     solver.gather(stack)
-    row = solver.place(stack)[0][1, 0]  # the second member's first dof
-    S = ops.stiffness_coeff
+    dofs, rows, _ = solver.place(stack)
+    # the second member's first dof, or its first constraint row
+    S, row = ((ops.stiffness_coeff, dofs[1, 0]) if block == "stiffness"
+              else (interp.matrix_full, rows[1, 0]))
     indices, data = S.indices.copy(), S.data.copy()
     lo, hi = S.indptr[row], S.indptr[row + 1]
     indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
     reversed_row = sparse.csr_matrix((data, indices, S.indptr), shape=S.shape)
     assert (reversed_row != S).nnz == 0
-    solver = lod._PatchSolver(hier, dataclasses.replace(
-        ops, stiffness_coeff=reversed_row), interp, 1, 1e-10)
+    if block == "stiffness":
+        ops = dataclasses.replace(ops, stiffness_coeff=reversed_row)
+    else:
+        interp = dataclasses.replace(interp, matrix_full=reversed_row)
+    solver = lod._PatchSolver(hier, ops, interp, 1, 1e-10)
     stack = next(s for s in solver.stacks(seeds) if s[1].size >= 2)
     with pytest.raises(RuntimeError, match="differ from their template"):
         solver.gather(stack)
