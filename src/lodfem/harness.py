@@ -170,8 +170,8 @@ def _solve_level(cfg, hier, ops, interp, u_ref, level, order):
     try:
         if order is None:
             count = coarse.n_interior
-            u_ms = u_ref - lod._kernel_projection(ops, interp, u_ref, cfg.tol,
-                                                  "global projection")
+            u_ms = u_ref - lod._kernel_projection(
+                hier, ops, interp, u_ref, cfg.tol, "global projection")
         else:
             # the corrector set is passed on, not kept, so that the
             # multiscale space can let it go once its basis exists
@@ -257,9 +257,9 @@ def run_decay(cfg):
     hier, interp = _hierarchy(cfg, coarse_n)
     node = _decay_node(cfg, hier.coarse)
     dof = hier.coarse.interior_index[node]
-    phi = lod._kernel_projection(
-        ops, interp, hier.prolongation_interior[:, dof].toarray().ravel(),
-        cfg.tol, f"global corrector at node {node}")
+    hat = hier.prolongation_interior[:, dof].toarray().ravel()
+    phi = lod._kernel_projection(hier, ops, interp, hat, cfg.tol,
+                                 f"global corrector at node {node}")
 
     spacing = 1.0 / coarse_n
     factors = cfg.decay_factors or tuple(

@@ -1,44 +1,40 @@
 """The sparse solver kernel shared by assembly, correctors, and the harness.
 
-Matrices are scipy CSR (``indptr``/``indices``/``data`` are the row offsets,
-column indices, and values of the compressed-sparse-row layout).  One kernel,
-SaddleFactorization, does every linear solve in the package: the
-equality-constrained quadratic solve
+Matrices are scipy CSR or CSC (``indptr``/``indices``/``data`` are the
+offsets, indices, and values of the compressed-sparse-row or -column
+layout).  One kernel, SaddleFactorization, does every linear solve in the
+package: the equality-constrained quadratic solve
 
     minimize 1/2 x'Ax - b'x   subject to  Cx = 0,
 
-handled through the Schur complement of its KKT system.  With constraints
-(m > 0) A is symmetric positive definite, so SuperLU factorizes it once in
-its symmetric mode (diagonal pivots): a CSC A in the order it is given, as
-the patch solvers hand over their stiffness in the mesh's elimination
-order, and any other A in the minimum-degree order of A'+A.  The small
-dense Schur complement S = C A^-1 C' is Cholesky-factorized; S is positive
-definite because the constraints have full row rank (the rows of a
-quasi-interpolation are local and linearly independent).  Y = A^-1 C' is
-kept while it has at most twice the entries of SuperLU's factor, as for
-every patch of the paper grid; a whole-domain system keeps no n x m
-array (see SaddleFactorization).  An unconstrained solve Ax = b is the
-case of C with zero rows (m = 0), in which A need not be symmetric:
-SuperLU takes its symmetric mode when A equals its transpose bit for bit
-(as the fine stiffness does), and its default pivoted ordering otherwise
-(as for the Petrov-Galerkin matrix).  The A-orthogonal
-projection of p onto the kernel of C, x = p - A^-1 C'(C A^-1 C')^-1 C p,
-is the solve of b = A p; `project` starts that solve from u = A^-1 b = p,
-so that it does no A-solve of its right-hand sides.  A stack of small
-dense SPD systems, A of shape (P, n, n) with C of shape (P, m, n), is the
-batched case: LAPACK Cholesky factors each A and each S, and every step
-below works on the whole stack at once.  Right-hand sides are dense and
-worked on whole; only the columns of C' are solved in column blocks (see
-_BLOCK_BYTES).  The kernel polishes with iterative refinement; one
-per-column acceptance test decides both which columns are refined and
-whether the solve succeeds.  There is one failure
-type: a factorization that fails, or a solve that misses the test, raises
-SolverFailure; a missed solve carries the achieved residual, and a stack
-names its failing system.  Solves are pure functions of their inputs, so
-repeated or concurrent calls on shared immutable matrices are
-deterministic, and each system of a stack gets the same bits whatever else
-is stacked with it up to refinement, which visits the columns that fail in
-any system of the stack.
+through its KKT system [[A, C'], [C, 0]] [x; mu] = [b; 0].  With
+constraints (m > 0) A is symmetric positive definite and the constraints
+have full row rank (the rows of a quasi-interpolation are local and
+linearly independent).  A sparse system is then one SuperLU factorization
+of the KKT matrix K, built as CSC with A's dofs in the order they are given
+and the constraint rows last, and factorized in that order with diagonal
+pivots.  A's pivots come first and exist because A is SPD; what remains is
+-S, for the Schur complement S = C A^-1 C', which is negative definite.  So
+this is the Schur-complement elimination done sparsely, and one solve of
+[r; q] gives x and mu.  The patch solvers hand over their stiffness in the
+fine mesh's elimination order, and the whole-domain projection permutes its
+system into that order.  A stack of small dense SPD systems, A of shape
+(P, n, n) with C of shape (P, m, n), is the batched case: LAPACK Cholesky
+factors each A and each dense S, Y = A^-1 C' is kept, and every step works
+on the whole stack at once.  An unconstrained solve Ax = b is the case of C
+with zero rows (m = 0), in which A need not be symmetric: SuperLU takes its
+symmetric mode when A equals its transpose bit for bit (as the fine
+stiffness does), and its default pivoted ordering otherwise (as for the
+Petrov-Galerkin matrix).  Right-hand sides are dense and worked on whole.
+The kernel polishes with iterative refinement; one per-column acceptance
+test decides both which columns are refined and whether the solve
+succeeds.  There is one failure type: a factorization that fails, or a
+solve that misses the test, raises SolverFailure; a missed solve carries
+the achieved residual, and a stack names its failing system.  Solves are
+pure functions of their inputs, so repeated or concurrent calls on shared
+immutable matrices are deterministic, and each system of a stack gets the
+same bits whatever else is stacked with it up to refinement, which visits
+the columns that fail in any system of the stack.
 """
 
 import numpy as np
@@ -47,13 +43,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 _REFINE_STEPS = 2
-# SuperLU solves the columns of C' (for Y or S) in blocks of about
-# _BLOCK_BYTES and at least _MIN_BLOCK_COLUMNS columns, as it copies its
-# right-hand sides and allocates as much again for work.  On the
-# global system at fine 128 it solves 8 columns at a time about 1.6 times
-# faster per column than 2.
-_BLOCK_BYTES = 2 ** 19
-_MIN_BLOCK_COLUMNS = 8
 
 
 class SolverFailure(RuntimeError):
@@ -109,105 +98,94 @@ def _cho_solve(L, B):
     return X
 
 
-def _column_blocks(B):
-    """Column slices of B (n, k) in blocks of about _BLOCK_BYTES and at least
-    _MIN_BLOCK_COLUMNS columns (fewer only if B has fewer)."""
-    n, k = B.shape
-    width = max(_MIN_BLOCK_COLUMNS, _BLOCK_BYTES // (8 * n))
-    count = max(1, k // width)
-    bounds = [k * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _solve_constraint_columns(solve, C):
-    """solve(C') for the sparse C (m, n), made dense a column block of C'
-    (rows of C) at a time; the result of more than one block is C-ordered,
-    as scipy's sparse products would copy a dense operand that is not."""
-    blocks = _column_blocks(C.T)
-    if len(blocks) == 1:
-        return solve(C.T.toarray())
-    X = np.empty(C.T.shape)
-    for cols in blocks:
-        X[:, cols] = solve(C[cols].T.toarray())
-    return X
+def _kkt(A, C):
+    """The KKT matrix [[A, C'], [C, 0]] as CSC, A's columns in the order
+    given and the rows of C last: column j < n is column j of A over column
+    j of C, and column n + i is row i of C.  It is built from A, C and one
+    CSC copy of C, with positions in their index dtype (int32 for every
+    system here).  The global row at fine 64 / coarse 16 peaks at 0.24
+    dense n x m arrays so (test_global_row_memory_peak bounds it at 0.3);
+    with int64 positions it took 0.28, and built by scipy's bmat 0.32."""
+    A, C = A.tocsc(), C.tocsr()
+    Ccol = C.tocsc()
+    n, top = A.shape[0], A.nnz + C.nnz
+    indptr = np.concatenate([A.indptr + Ccol.indptr, top + C.indptr[1:]])
+    data = np.empty(top + C.nnz)
+    indices = np.empty(data.size, dtype=indptr.dtype)
+    at = np.arange(A.nnz, dtype=indptr.dtype) + np.repeat(
+        Ccol.indptr[:-1], np.diff(A.indptr))
+    data[at], indices[at] = A.data, A.indices
+    at = np.arange(C.nnz, dtype=indptr.dtype) + np.repeat(
+        A.indptr[1:], np.diff(Ccol.indptr))
+    data[at], indices[at] = Ccol.data, Ccol.indices + n
+    data[top:], indices[top:] = C.data, C.indices
+    return sparse.csc_matrix((data, indices, indptr),
+                             shape=(n + C.shape[0],) * 2)
 
 
 class SaddleFactorization:
-    """Reusable Schur-complement factorization for many right-hand sides.
+    """Reusable factorization of a KKT system for many right-hand sides.
 
-    A is factorized once; with constraints, S = C A^-1 C' is formed by block
-    solves and Cholesky-factorized, so each application is u = A^-1 r,
-    mu = S^-1 (C u - q), x = u - A^-1 C'mu.  Y = A^-1 C' is kept for the
-    last step while n m is at most twice the entries of SuperLU's factor
-    (always for a stack); past that, S is summed a column block at a time,
-    x = u - A^-1 (C'mu) takes one more A-solve, and no n x m array is
-    kept.  The constraints must have full row rank, so that S is positive
-    definite.  SuperLU factorizes a constrained CSC A in the order it is
-    given and any other sparse A in its own.
-
-    Given numpy stacks A (P, n, n) and C (P, m, n), it factorizes P systems
-    at once and solves right-hand sides (P, n) or (P, n, k).  A factorization
-    that fails (SuperLU rejects A, or A of a stack or S is not positive
-    definite) raises SolverFailure, as does a solve that fails the test.
+    Given sparse A (n, n) and C (m, n) with m > 0, SuperLU factorizes the
+    KKT matrix K (see _kkt) once, and each application is one solve of
+    [r; q] for [x; mu]; with m = 0, K is A.  Given numpy stacks A (P, n, n)
+    and C (P, m, n), it factorizes P systems at once through their Schur
+    complements S = C A^-1 C', so each application is u = A^-1 r,
+    mu = S^-1 (C u - q), x = u - Y mu with Y = A^-1 C' kept, and it solves
+    right-hand sides (P, n) or (P, n, k).  The constraints must have full
+    row rank.  A factorization that fails (SuperLU rejects K, or A of a
+    stack or S is not positive definite) raises SolverFailure, as does a
+    solve that fails the test.
     """
 
     def __init__(self, A, C):
         self.n = A.shape[-1]
         self.m = C.shape[-2]
-        if isinstance(A, np.ndarray):
+        self.lead = A.shape[:-2]  # (P,) for a stack, () otherwise
+        if self.lead:
             self.A, self.C, self.Ct = A, C, C.transpose(0, 2, 1)
-            chol = _cholesky(A)
-            self._solve_A = lambda r: _cho_solve(chol, r)
-        else:
-            # a constrained CSC system is factorized in the order it is given
-            ordered = self.m > 0 and A.format == "csc"
-            self.A = A if ordered else A.tocsr()
-            self.C = C.tocsr()
-            self.Ct = self.C.T
-            options = {}
-            if self.m or (self.A != self.A.T).nnz == 0:
-                options = dict(
-                    permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0, options=dict(SymmetricMode=True))
-            try:
-                lu = spla.splu(A if ordered else sparse.csc_matrix(A), **options)
-            except RuntimeError as exc:
-                raise SolverFailure(f"factorization failed: {exc}") from exc
-            self._solve_A = lu.solve
-        if self.m == 0:
+            self._chol = _cholesky(A)
+            self._Y = _cho_solve(self._chol, self.Ct)
+            self._schur = _cholesky(self.C @ self._Y)
             return
-        # Every patch of the paper grid keeps Y (n m / nnz 0.06-1.47);
-        # whole-domain systems do not (3.5 at fine 128 / coarse 16, 46 at
-        # fine 256 / coarse 64, where Y is 1969 MiB).
-        if isinstance(A, np.ndarray):
-            self._Y = self._solve_A(self.Ct)
-            schur = self.C @ self._Y
-        elif self.n * self.m <= 2 * lu.nnz:
-            self._Y = _solve_constraint_columns(self._solve_A, self.C)
-            schur = self.C @ self._Y
-        else:
-            self._Y = None
-            schur = np.empty((self.m, self.m))
-            for cols in _column_blocks(self.Ct):
-                schur[:, cols] = self.C @ self._solve_A(
-                    self.C[cols].T.toarray())
-        schur = _cholesky(schur)
-        self._solve_S = lambda r: _cho_solve(schur, r)
+        self.K = _kkt(A, C) if self.m else A.tocsr()
+        try:
+            if self.m:
+                # K in the order given, diagonal pivots only: A's first,
+                # then the constraints'.  One column per panel: with
+                # SuperLU's default of 8 the benchmark's global and
+                # patch-large sweeps peaked at 110.4-110.8 and 121.6-121.9
+                # MiB RSS, against 105.8 and 117.7-118.7 MiB (3 runs each,
+                # 2 vCPUs).
+                lu = spla.splu(self.K, permc_spec="NATURAL",
+                               diag_pivot_thresh=0, panel_size=1,
+                               options=dict(SymmetricMode=True))
+            elif (self.K != self.K.T).nnz == 0:
+                lu = spla.splu(sparse.csc_matrix(self.K),
+                               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                               options=dict(SymmetricMode=True))
+            else:
+                lu = spla.splu(sparse.csc_matrix(self.K))
+        except RuntimeError as exc:
+            raise SolverFailure(f"factorization failed: {exc}") from exc
+        self._solve_K = lu.solve
 
-    def _apply(self, r, q, u=None):
-        """(x, mu) solving A x + C'mu = r, C x = q, x formed in place of
-        u = A^-1 r, or of the `u` a caller passes when it knows A^-1 r."""
-        if u is None:
-            u = self._solve_A(r)
-        if self.m == 0:
-            return u, np.zeros(q.shape)
-        mu = self._solve_S(self.C @ u - q)
-        u -= self._solve_A(self.Ct @ mu) if self._Y is None else self._Y @ mu
-        return u, mu
+    def _apply(self, r, q):
+        """(x, mu) solving A x + C'mu = r, C x = q."""
+        if self.lead:
+            u = _cho_solve(self._chol, r)
+            mu = _cho_solve(self._schur, self.C @ u - q)
+            u -= self._Y @ mu
+            return u, mu
+        z = self._solve_K(np.concatenate([r, q]))
+        return z[:self.n], z[self.n:]
 
     def _residual(self, B, x, mu):
         """Split residual (r, q) of the KKT system."""
-        return B - self.A @ x - self.Ct @ mu, -(self.C @ x)
+        if self.lead:
+            return B - self.A @ x - self.Ct @ mu, -(self.C @ x)
+        z = self.K @ np.concatenate([x, mu])
+        return B - z[:self.n], -z[self.n:]
 
     def _test(self, B, x, mu, tol):
         """Columns failing the acceptance test, with their stationarity and
@@ -229,41 +207,13 @@ class SaddleFactorization:
         failed; any column still failing raises SolverFailure.  x and mu come
         back with b's number of columns.
         """
-        B, q, single = self._block(b)
-        x, mu = self._apply(B, q)
-        return self._refined(B, x, mu, tol, single)
-
-    def project(self, p, tol=1e-10):
-        """A-orthogonal projection x = p - A^-1 C'(C A^-1 C')^-1 C p of p
-        onto the kernel of C, with its multiplier mu.
-
-        This is the solve of b = A p, started from u = p in place of
-        u = A^-1 b, so that only the constraints are solved for:
-        mu = S^-1 C p and x = p - Y mu.  p takes the shapes b does in
-        `solve`, and x is then accepted, refined (with A-solves of the
-        residual) or rejected as there.
-        """
-        P, q, single = self._block(p)
-        B = self.A @ P
-        x, mu = self._apply(B, q, P.copy())
-        return self._refined(B, x, mu, tol, single)
-
-    def _block(self, b):
-        """The right-hand sides `b` as a block B (..., n, k), zero constraint
-        right-hand sides q for it, and whether `b` was a single column."""
-        lead = self.A.shape[:-2]  # (P,) for a stack, () otherwise
+        lead = self.lead
         b = np.asarray(b, dtype=float)
         if b.ndim - len(lead) not in (1, 2) or \
                 b.shape[:len(lead) + 1] != (*lead, self.n):
             raise ValueError(f"shape mismatch: system size {self.n}, rhs {b.shape}")
         B = b.reshape(*lead, self.n, -1)
-        return B, np.zeros((*lead, self.m, B.shape[-1])), \
-            b.ndim == len(lead) + 1
-
-    def _refined(self, B, x, mu, tol, single):
-        """(x, mu) of the right-hand sides B after refinement (see solve),
-        or SolverFailure; one column each if `single`."""
-        lead = self.A.shape[:-2]
+        x, mu = self._apply(B, np.zeros((*lead, self.m, B.shape[-1])))
         for step in range(_REFINE_STEPS + 1):
             failed, stat, feas = self._test(B, x, mu, tol)
             if step == _REFINE_STEPS or not failed.any():
@@ -281,6 +231,6 @@ class SaddleFactorization:
                 f"solve missed tolerance: stationarity {stat:.3e}, "
                 f"feasibility {feas:.3e}", residual=float(max(stat, feas)),
                 system=int(j[0]) if lead else None)
-        if single:
+        if b.ndim == len(lead) + 1:
             return x[..., 0], mu[..., 0]
         return x, mu

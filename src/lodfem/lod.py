@@ -28,18 +28,18 @@ the boundary.  A member's right-hand side is the template's weighted by the
 coefficient on its children.  Each patch is solved once: classes of at
 most _DENSE_MAX_DOFS dofs as dense stacks of up to _STACK_BYTES of
 stiffness, Cholesky for each patch and its Schur complement, larger classes
-one patch at a time, each with one sparse SuperLU factorization of its
-stiffness, handed over as CSC so that it is factorized in the template's
-order.  A failure names the element of its patch.  The
-solver threads write each stack's solution into an array the calling thread
-allocated, which also forms each member's dofs and nodes from the template
-and the lattice offsets, so no solved block lives in a worker's malloc
-arena.  The (coarse dof, patch dofs, values) triplets are summed in
-ascending element order into the corrector matrix, built once, so outputs
-are bit-identical at any thread count of the localized solves.  No global
-corrector set is assembled: the A-orthogonal projection of the fine
-solution u onto the kernel, x = u - A^-1 C'(C A^-1 C')^-1 C u
-(SaddleFactorization.project), is its part there, so u - x is the Galerkin
+one patch at a time, each with one SuperLU factorization of its KKT matrix:
+the stiffness in the template's order, the constraint rows last.  A failure
+names the element of its patch.  The solver threads write each stack's
+solution into an array the calling thread allocated, which also forms each
+member's dofs and nodes from the template and the lattice offsets, so no
+solved block lives in a worker's malloc arena.  The (coarse dof, patch
+dofs, values) triplets are summed in ascending element order into the
+corrector matrix, built once, so outputs are bit-identical at any thread
+count of the localized solves.  No global corrector set is assembled: the
+A-orthogonal projection x of the fine solution u onto the kernel, the
+constrained solve of b = A u with the system permuted into the elimination
+order (_kernel_projection), is its part there, so u - x is the Galerkin
 solution with the global correctors.  The harness computes global rows that
 way, and a global corrector as the projection of its hat.  The multiscale
 basis B = P - M' and its products are sparse.  A multiscale space holds the
@@ -85,15 +85,23 @@ class MultiscaleSpace:
     mode: str                    # "galerkin" (t = b) or "petrov_galerkin" (t = hat)
 
 
-def _kernel_projection(ops, interp, p, tol, where):
+def _kernel_projection(hierarchy, ops, interp, p, tol, where):
     """The A-orthogonal projection of the fine vector(s) `p` onto the kernel
-    of the quasi-interpolation, on the whole domain; failures name `where`."""
+    of the quasi-interpolation, on the whole domain: the constrained solve
+    of b = A p, its system permuted into the fine mesh's elimination order.
+    Failures name `where`."""
+    order = hierarchy.fine.elimination_order
+    A = ops.stiffness_coeff[order][:, order]
+    A.sort_indices()
+    C = interp.matrix[:, order]
+    C.sort_indices()
+    p = p[order]
     try:
-        x, _ = SaddleFactorization(ops.stiffness_coeff, interp.matrix).project(
-            p, tol)
+        # A is bit-symmetric, so its CSR arrays are its CSC arrays
+        x, _ = SaddleFactorization(A.T, C).solve(A @ p, tol)
     except SolverFailure as exc:
         raise SolverFailure(f"{where}: {exc}", residual=exc.residual) from exc
-    return x
+    return x[np.argsort(order)]
 
 
 @dataclass(eq=False)

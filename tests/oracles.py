@@ -173,15 +173,21 @@ def interpolation_row(hierarchy, coarse_vertex):
 
 
 def dense_kkt_solve(A, C, b):
-    """Dense KKT elimination for min 1/2 x'Ax - b'x s.t. Cx = 0."""
+    """Dense KKT elimination for min 1/2 x'Ax - b'x s.t. Cx = 0, for one
+    right-hand side (n,) or a block of them (n, k)."""
     n, m = A.shape[0], C.shape[0]
     K = np.zeros((n + m, n + m))
     K[:n, :n] = A
     K[:n, n:] = C.T
     K[n:, :n] = C
-    rhs = np.concatenate([b, np.zeros(m)])
+    rhs = np.concatenate([b, np.zeros((m, *b.shape[1:]))])
     z = np.linalg.solve(K, rhs)
     return z[:n], z[n:]
+
+
+def kkt_matrix(A, C):
+    """The sparse KKT matrix [[A, C'], [C, 0]] as CSC, by scipy's bmat."""
+    return sparse.bmat([[A, C.T], [C, None]], format="csc")
 
 
 def entry_values(matrix, rows, cols):
@@ -227,7 +233,7 @@ def global_corrector(hierarchy, ops, interp, node, tol=1e-10):
     """Whole-domain corrector of the coarse interior vertex `node`."""
     dof = hierarchy.coarse.interior_index[node]
     hat = hierarchy.prolongation_interior[:, dof].toarray().ravel()
-    return lod._kernel_projection(ops, interp, hat, tol,
+    return lod._kernel_projection(hierarchy, ops, interp, hat, tol,
                                   f"global corrector at node {node}")
 
 
@@ -236,14 +242,13 @@ def global_corrector_set(hierarchy, ops, interp, tol=1e-10):
     at patch saturation, as a CorrectorSet: one whole-domain projection
     (lod._kernel_projection) of the dense block of all prolonged hats, whose
     column i is row i of the matrix (exact zeros, of either sign, not
-    stored).  It holds about six dense n_fine_interior x n_coarse_interior
-    arrays at once (6.1 at fine 64 / coarse 8, whose projection keeps
-    Y = A^-1 C', and 6.0 at fine 128 / coarse 16, whose projection does not
-    and solves A^-1 (C'mu) for all columns in one call), so it is for small
-    problems."""
+    stored).  It holds about eight dense n_fine_interior x n_coarse_interior
+    arrays at once (7.8 at fine 64 / coarse 8, 7.2 at fine 128 / coarse 16:
+    the permuted hats, their right-hand sides, SuperLU's copy and solution
+    of the KKT block, and the residual's), so it is for small problems."""
     hats = hierarchy.prolongation_interior.toarray()
     return lod.CorrectorSet(matrix=sparse.csr_matrix(lod._kernel_projection(
-        ops, interp, hats, tol, "global correctors").T))
+        hierarchy, ops, interp, hats, tol, "global correctors").T))
 
 
 def diagonal_orders(cfg, diagonal):

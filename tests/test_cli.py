@@ -242,14 +242,15 @@ def test_global_correctors_assembled_once_per_coarse_size(monkeypatch):
     def assembling(*args, **kwargs):
         raise AssertionError("a global sweep assembles no corrector set")
 
-    project = linalg.SaddleFactorization.project
+    solve = linalg.SaddleFactorization.solve
 
-    def counting_project(self, p, *args, **kwargs):
-        projected.append((self.m, np.shape(p)))
-        return project(self, p, *args, **kwargs)
+    def counting_solve(self, b, *args, **kwargs):
+        if self.m:  # a constrained solve, not the reference or coarse solve
+            projected.append((self.m, np.shape(b)))
+        return solve(self, b, *args, **kwargs)
 
     monkeypatch.setattr(lod, "assemble_corrector_set", assembling)
-    monkeypatch.setattr(linalg.SaddleFactorization, "project", counting_project)
+    monkeypatch.setattr(linalg.SaddleFactorization, "solve", counting_solve)
     report = run_convergence(cfg(fine_n=32, coarse_n=(4, 8), levels=(1, 2),
                                  mode="global"))
     # one projection per coarse size, of one fine vector, with the 9 and 49
@@ -438,10 +439,14 @@ def test_failed_row_says_why(tmp_path, monkeypatch, capsys):
 def test_failed_global_row_says_why(tmp_path, monkeypatch, capsys):
     """A projection that fails in global mode gives NaN rows for the levels
     that share it, its reason on stderr once, and exit code 2."""
-    def failing(*args, **kwargs):
-        raise lod.SolverFailure("forced")
+    solve = linalg.SaddleFactorization.solve
 
-    monkeypatch.setattr(linalg.SaddleFactorization, "project", failing)
+    def failing(self, *args, **kwargs):
+        if self.m:  # the projection fails, the unconstrained solves do not
+            raise lod.SolverFailure("forced")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.SaddleFactorization, "solve", failing)
     config = tmp_path / "run.cfg"
     config.write_text("fine_n = 16\ncoarse_n = 4\nlevels = 1,2\nmode = global\n"
                       "coeff_cell = 8\ntimings = off\n")

@@ -126,24 +126,26 @@ def test_saddle_minimizes_energy_over_kernel(rng):
 
 
 def test_saddle_rank_deficient_constraints(rng):
-    """A zero constraint row makes the Schur complement exactly singular:
-    the sparse path and a stack of one raise SolverFailure.  With a
-    duplicated row, rounding decides whether the Cholesky factorization of
-    the Schur complement fails; a solve that passes gives the full-rank
-    minimizer."""
+    """A zero constraint row makes the system exactly singular: the sparse
+    path's KKT factorization meets a zero pivot, and a stack of one finds
+    its Schur complement not positive definite; both raise SolverFailure.
+    With a duplicated row, rounding decides whether the factorization
+    fails; a solve that passes gives the full-rank minimizer."""
     n = 10
     A = random_spd(rng, n)
     C1 = rng.standard_normal((3, n))
     b = rng.standard_normal(n)
     x_full, _ = SaddleFactorization(csr(A), csr(C1)).solve(b)
     zero_row = np.vstack([C1, np.zeros(n)])
-    for make in (lambda C: SaddleFactorization(csr(A), csr(C)),
-                 lambda C: SaddleFactorization(A[None], C[None])):
-        with pytest.raises(SolverFailure, match="not positive definite"):
+    for make, message in (
+            (lambda C: SaddleFactorization(csr(A), csr(C)), "exactly singular"),
+            (lambda C: SaddleFactorization(A[None], C[None]),
+             "not positive definite")):
+        with pytest.raises(SolverFailure, match=message):
             make(zero_row)
         try:
             fac = make(np.vstack([C1, C1[0]]))
-            x_dup, _ = fac.solve(b if fac.A.ndim == 2 else b[None])
+            x_dup, _ = fac.solve(b[None] if fac.lead else b)
         except SolverFailure:
             continue
         np.testing.assert_allclose(x_dup.reshape(n), x_full, atol=1e-8)
@@ -232,14 +234,11 @@ def test_stack_refines_the_columns_failing_in_any_system(monkeypatch):
     assert np.array_equal(x, expected)
 
 
-def test_solve_in_column_blocks(rng, monkeypatch):
+def test_solve_in_column_blocks(rng):
     """On a diagonal system, where no sum depends on how columns are
     grouped, each column of a block solve equals its one-column solve bit
-    for bit.  With the constraints solved in 3 column blocks, a solve
-    equals the one-block factorization's bit for bit on a diagonal A (whose
-    S is summed block by block, as n m is over twice its 80 factor
-    entries) and to 1e-12 relative on a dense SPD A (which keeps Y)."""
-    n, k, m = 40, 9, 6
+    for bit."""
+    n, k = 40, 9
     A = sparse.diags(rng.uniform(1.0, 10.0, n)).tocsr()
     C = sparse.csr_matrix(([1.0, -2.0], ([0, 0], [3, 17])), shape=(1, n))
     b = rng.standard_normal((n, k))
@@ -249,126 +248,6 @@ def test_solve_in_column_blocks(rng, monkeypatch):
         xj, muj = fact.solve(b[:, j])
         assert np.array_equal(x[:, j], xj) and np.array_equal(mu[:, j], muj)
 
-    C = csr(rng.standard_normal((m, n)))
-    systems = [A, csr(random_spd(rng, n))]
-    assert [n * m in kept_sizes(SaddleFactorization(S, C))
-            for S in systems] == [False, True]
-    whole = [SaddleFactorization(S, C).solve(b) for S in systems]
-    monkeypatch.setattr(linalg, "_MIN_BLOCK_COLUMNS", 1)
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * n * 2)  # blocks of 2 columns
-    assert len(linalg._column_blocks(C.T)) == 3
-    (x, mu), (spd_x, spd_mu) = (SaddleFactorization(S, C).solve(b)
-                                for S in systems)
-    assert np.array_equal(x, whole[0][0]) and np.array_equal(mu, whole[0][1])
-    assert_close(spd_x, whole[1][0], 1e-12)
-    assert_close(spd_mu, whole[1][1], 1e-12)
-
-
-def assert_close(got, expected, rtol):
-    assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
-
-
-def kept_sizes(fact):
-    """Entry counts of the arrays a factorization keeps as attributes."""
-    return [v.size for v in vars(fact).values() if isinstance(v, np.ndarray)]
-
-
-@pytest.mark.parametrize("method", ["solve", "project"])
-def test_schur_complement_summed_without_Y(rng, monkeypatch, method):
-    """A system whose n m is over twice its SuperLU factor's entries (a
-    diagonal A, n = 40, m = 6, with 80 factor entries: the unit diagonal
-    of L and the diagonal of U) keeps no n x m array.
-    Its solve and projection of 5 columns, two of them refined after a
-    forced miss, agree with those of the same system made to keep
-    Y = A^-1 C' (its factor reported as large as Y) to 1e-12 relative."""
-    n, m = 40, 6
-    A = sparse.diags(rng.uniform(1.0, 10.0, n)).tocsr()
-    C = csr(rng.standard_normal((m, n)))
-    b = rng.standard_normal((n, 5))
-    splu, factors = linalg.spla.splu, []
-
-    class Factor:
-        def __init__(self, lu, nnz):
-            self.solve, self.nnz = lu.solve, nnz
-            factors.append(lu.nnz)
-
-    monkeypatch.setattr(linalg.spla, "splu",
-                        lambda *args, **kwargs: Factor(splu(*args, **kwargs),
-                                                       n * m))
-    with_Y = SaddleFactorization(A, C)
-    monkeypatch.undo()
-    without_Y = SaddleFactorization(A, C)
-    assert factors == [2 * n] and linalg.spla.splu is splu
-    assert n * m in kept_sizes(with_Y)
-    assert max(kept_sizes(without_Y), default=0) < n * m
-
-    results = []
-    for fact in (with_Y, without_Y):
-        apply, calls = fact._apply, []
-
-        def first_step_off_the_constraint(r, q, u=None, apply=apply,
-                                          calls=calls):
-            x, mu = apply(r, q, u)
-            if not calls:
-                x[:, 1:3] += 1e-6 * np.abs(x).max()
-            calls.append(r.shape[1])
-            return x, mu
-
-        monkeypatch.setattr(fact, "_apply", first_step_off_the_constraint)
-        results.append(getattr(fact, method)(b))
-        assert calls == [5, 2]
-    (x, mu), (x_ref, mu_ref) = results[1], results[0]
-    assert_close(x, x_ref, 1e-12)
-    assert_close(mu, mu_ref, 1e-12)
-
-
-def projection_problem(rng, n=30, m=6):
-    """A sparse SPD A (a shifted path Laplacian with random weights) and a
-    random full-rank C."""
-    w = rng.uniform(1.0, 10.0, n - 1)
-    A = sparse.diags([-w, np.r_[w, 0] + np.r_[0, w] + 1.0, -w], [-1, 0, 1])
-    return A.tocsr(), csr(rng.standard_normal((m, n)))
-
-
-@pytest.mark.parametrize("columns", ["one", "dense block"])
-def test_project_is_the_solve_of_A_p(rng, columns):
-    """project(p) agrees with solve(A @ p) to 1e-13 relative, x and mu, for
-    one column and for a block of 7; x is in the kernel of C."""
-    A, C = projection_problem(rng)
-    p = rng.standard_normal(A.shape[0] if columns == "one"
-                            else (A.shape[0], 7))
-    fact = SaddleFactorization(A, C)
-    x, mu = fact.project(p)
-    x_ref, mu_ref = fact.solve(A @ p)
-    assert x.shape == x_ref.shape and mu.shape == mu_ref.shape
-    assert_close(x, x_ref, 1e-13)
-    assert_close(mu, mu_ref, 1e-13)
-    assert np.abs(C @ x).max() <= 1e-13 * np.abs(x).max()
-
-
-def test_project_refines_with_A_solves(rng, monkeypatch):
-    """A projection whose first step misses the acceptance test is refined
-    like a solve, by A-solves of its residual, and then agrees with
-    solve(A @ p) to 1e-13 relative."""
-    A, C = projection_problem(rng)
-    p = rng.standard_normal((A.shape[0], 3))
-    fact = SaddleFactorization(A, C)
-    x_ref, mu_ref = fact.solve(A @ p)
-    apply, calls = fact._apply, []
-
-    def first_step_off_the_constraint(r, q, u=None):
-        x, mu = apply(r, q, u)
-        if not calls:
-            x[:, 1] += 1e-6 * np.abs(x).max()  # column 1 leaves C x = 0
-        calls.append((r.shape[1], u is not None))
-        return x, mu
-
-    monkeypatch.setattr(fact, "_apply", first_step_off_the_constraint)
-    x, mu = fact.project(p)
-    assert calls == [(3, True), (1, False)]
-    assert_close(x, x_ref, 1e-13)
-    assert_close(mu, mu_ref, 1e-13)
-
 
 @pytest.mark.parametrize("symmetric, constrained", [
     (True, None), (False, None), (True, "csc"), (True, "csr")],
@@ -377,9 +256,9 @@ def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric,
                                          constrained):
     """Without constraints, a bit-symmetric A is factorized in SuperLU's
     symmetric mode and any other A with the default pivoted ordering.  With
-    constraints, a CSC A is factorized in the order it is given (NATURAL)
-    and a CSR A in the minimum-degree order, both in the symmetric mode.
-    Each solves to the tolerance."""
+    constraints, CSC or CSR, SuperLU factorizes the (n + m)^2 KKT matrix in
+    the order it is built (NATURAL), in the symmetric mode, one column per
+    panel.  Each solves to the tolerance."""
     A = random_spd(rng, 12)
     if not symmetric:
         A[0, 1] += 1e-3
@@ -387,7 +266,7 @@ def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric,
     splu, modes = linalg.spla.splu, []
 
     def recorded(matrix, **options):
-        modes.append(options)
+        modes.append((matrix.shape, options))
         return splu(matrix, **options)
 
     monkeypatch.setattr(linalg.spla, "splu", recorded)
@@ -398,10 +277,15 @@ def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric,
     expected = np.linalg.solve(kkt, np.concatenate([b, np.zeros(C.shape[0])]))
     np.testing.assert_allclose(x, expected[:12], rtol=1e-10,
                                atol=1e-12 * np.abs(expected).max())
-    order = "NATURAL" if constrained == "csc" else "MMD_AT_PLUS_A"
-    assert modes == [dict(permc_spec=order, diag_pivot_thresh=0,
-                          options=dict(SymmetricMode=True))
-                     if symmetric else {}]
+    if constrained:
+        options = dict(permc_spec="NATURAL", diag_pivot_thresh=0,
+                       panel_size=1, options=dict(SymmetricMode=True))
+    elif symmetric:
+        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                       options=dict(SymmetricMode=True))
+    else:
+        options = {}
+    assert modes == [(kkt.shape, options)]
 
 
 def test_saddle_deterministic(rng):

@@ -16,8 +16,8 @@ from lodfem import ExperimentConfig, SolverFailure, build_interpolation, \
     solve_reference
 from lodfem.lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set
 
-from oracles import entry_values, fit_decay, global_corrector, \
-    global_corrector_set, node_star
+from oracles import dense_kkt_solve, entry_values, fit_decay, \
+    global_corrector, global_corrector_set, kkt_matrix, node_star
 
 
 def saturation_order(hier):
@@ -605,54 +605,64 @@ def test_failing_later_member_names_its_element(monkeypatch):
         f"corrector patch of element {failing[0]}: ")
 
 
-def test_global_correctors_solve_no_right_hand_side(problem, monkeypatch):
-    """The global correctors are the projection of the hats: SuperLU never
-    solves the right-hand sides A p.  At fine 16 and coarse 4, Y = A^-1 C'
-    has at most twice the factor's entries and is kept: SuperLU solves its m
-    columns and whatever refinement asks for.  At coarse 8 it has more, so S
-    is summed block by block: SuperLU solves the m columns of C', then the
-    k columns of A^-1 C'mu, and for each refined column its residual and its
-    A^-1 C'mu.  Either result agrees with the solve of A p to 1e-13
-    relative."""
-    hier8 = refine_hierarchy(build_uniform_mesh(8), 1)
-    coarse8 = (hier8, build_operators(
-        hier8.fine, make_checkerboard(4, 100.0, 1, hier8.fine),
-        lambda x, y: x), build_interpolation(hier8))
-    splu = linalg.spla.splu
-    apply = linalg.SaddleFactorization._apply
-    for (hier, ops, interp), keeps_Y in ((problem, True), (coarse8, False)):
-        solved, factors, refined = [], [], []
+@pytest.mark.parametrize("coarse_n", [4, 8])
+def test_global_projection_matches_dense_kkt_oracle(coarse_n):
+    """The whole-domain projection of every prolonged hat at fine 16, solved
+    in the elimination order, equals the dense KKT solve of b = A p in the
+    dofs' own order to 1e-13 relative, and lies in the kernel of the
+    quasi-interpolation."""
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            int(np.log2(16 // coarse_n)))
+    ops = build_operators(hier.fine, make_checkerboard(4, 100.0, 1, hier.fine),
+                          lambda x, y: x)
+    interp = build_interpolation(hier)
+    P = hier.prolongation_interior.toarray()
+    x = lod._kernel_projection(hier, ops, interp, P, 1e-10, "global")
+    A, C = ops.stiffness_coeff.toarray(), interp.matrix.toarray()
+    expected, _ = dense_kkt_solve(A, C, A @ P)
+    assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.abs(C @ x).max() <= 1e-13 * np.abs(x).max()
 
-        class Counted:
-            def __init__(self, lu):
-                self.lu, self.nnz = lu, lu.nnz
-                factors.append(lu.nnz)
 
-            def solve(self, rhs):
-                solved.append(rhs.shape[1] if rhs.ndim == 2 else 1)
-                return self.lu.solve(rhs)
+def test_kkt_matrix_is_the_block_matrix(problem, monkeypatch):
+    """The KKT matrix SuperLU factorizes equals, bit for bit, the bmat of
+    the A and C it was built from: for every SuperLU patch of the fine 32 /
+    coarse 4 order-1 corrector set, and for the whole-domain projection at
+    fine 16 / coarse 4, whose A and C are the fine stiffness and the
+    quasi-interpolation in the elimination order."""
+    kkt, splu, built, factorized = linalg._kkt, linalg.spla.splu, [], []
 
-        def counted_apply(self, r, q, u=None):
-            if u is None and self.m:
-                refined.append(r.shape[-1])
-            return apply(self, r, q, u)
+    def recorded_kkt(A, C):
+        K = kkt(A, C)
+        built.append((A, C, K, K.copy()))
+        return K
 
-        P = hier.prolongation_interior.toarray()
-        with monkeypatch.context() as patched:
-            patched.setattr(linalg.spla, "splu", lambda *args, **kwargs:
-                            Counted(splu(*args, **kwargs)))
-            patched.setattr(linalg.SaddleFactorization, "_apply",
-                            counted_apply)
-            x = lod._kernel_projection(ops, interp, P, 1e-10, "global")
-        (n, k), m = P.shape, interp.matrix.shape[0]
-        assert (n * m <= 2 * factors[0]) == keeps_Y
-        if keeps_Y:
-            assert sum(solved) == m + sum(refined)
-        else:
-            assert sum(solved) == m + k + 2 * sum(refined)
-        S = ops.stiffness_coeff
-        expected, _ = linalg.SaddleFactorization(S, interp.matrix).solve(S @ P)
-        assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+    def recorded_splu(K, **options):
+        factorized.append(K)
+        return splu(K, **options)
+
+    monkeypatch.setattr(linalg, "_kkt", recorded_kkt)
+    monkeypatch.setattr(linalg.spla, "splu", recorded_splu)
+    hier = refine_hierarchy(build_uniform_mesh(4), 3)
+    ops = build_operators(hier.fine, make_checkerboard(4, 100.0, 1, hier.fine),
+                          lambda x, y: x)
+    assemble_corrector_set(hier, ops, build_interpolation(hier), order=1)
+    patches = len(built)
+    hier, ops, interp = problem
+    lod._kernel_projection(hier, ops, interp,
+                           np.ones(hier.fine.n_interior), 1e-10, "global")
+    assert patches > 0 and len(built) == len(factorized) == patches + 1
+    assert all(K is L for (_, _, K, _), L in zip(built, factorized))
+    for A, C, _, K in built:
+        expected = kkt_matrix(A, C)
+        assert K.format == "csc" and K.shape == expected.shape
+        assert np.array_equal(K.indptr, expected.indptr)
+        assert np.array_equal(K.indices, expected.indices)
+        assert K.data.tobytes() == expected.data.tobytes()
+    A, C, _, _ = built[-1]
+    order = hier.fine.elimination_order
+    S = ops.stiffness_coeff[order][:, order]
+    assert (A != S).nnz == 0 and (C != interp.matrix[:, order]).nnz == 0
 
 
 def _global_row(fine_n, coarse_n, contrast, seed):
@@ -692,10 +702,9 @@ def test_global_row_is_the_galerkin_solution(fine_n, coarse_n, log_contrast,
 def test_global_row_memory_peak(coarse_n):
     """The global row at fine 64 holds at most 1.9 (coarse 8) and 0.3
     (coarse 16) dense n_fine_interior x n_coarse_interior arrays' worth of
-    memory at once.  At coarse 8 that is Y = A^-1 C' of its projection and
-    the column blocks that form it; at coarse 16, where Y would have more
-    than twice the entries of the SuperLU factor, Y is not kept and the
-    Schur complement is summed a column block at a time."""
+    memory at once.  Its projection keeps no n x m array: it holds the
+    stiffness and the constraints permuted into the elimination order and
+    the KKT matrix built from them (about 1.0 and 0.24 such arrays)."""
     arrays = {8: 1.9, 16: 0.3}[coarse_n]
     hier, ops, interp, u_ref, _ = _global_row(64, coarse_n, 20.0, 10)
     started = not tracemalloc.is_tracing()
