@@ -72,28 +72,25 @@ def spd_solve(A, b, tol=1e-10):
 
 
 def _cholesky(A):
-    """Transposed lower Cholesky factor of an SPD matrix (n, n), or of each
-    matrix of a stack (P, n, n); SolverFailure if one is not positive
+    """Transposed lower Cholesky factor of each SPD matrix of a stack
+    (P, n, n); SolverFailure naming the first that is not positive
     definite.  Stored transposed, each factor's transpose is the Fortran
     order that dpotrs takes without a copy."""
     L = np.empty_like(A)
-    for i in np.ndindex(A.shape[:-2]):
+    for i in range(A.shape[0]):
         c, info = dpotrf(A[i], lower=1, clean=0)
         L[i] = c.T
         if info:
-            which = f" {i[0]} of the stack" if i else ""
-            raise SolverFailure(
-                f"factorization failed: matrix{which} is not positive definite",
-                system=i[0] if i else None)
+            raise SolverFailure(f"factorization failed: matrix {i} of the "
+                                "stack is not positive definite", system=i)
     return L
 
 
 def _cho_solve(L, B):
-    """Solve with the factor `L` (n, n) of _cholesky the right-hand sides
-    `B` (n, k), or with each factor of a stack (P, n, n) its block of `B`
-    (P, n, k)."""
+    """Solve with each factor of a stack (P, n, n) of _cholesky its block of
+    right-hand sides (P, n, k)."""
     X = np.empty_like(B)
-    for i in np.ndindex(L.shape[:-2]):
+    for i in range(L.shape[0]):
         X[i], _ = dpotrs(L[i].T, B[i], lower=1)
     return X
 
@@ -103,9 +100,10 @@ def _kkt(A, C):
     given and the rows of C last: column j < n is column j of A over column
     j of C, and column n + i is row i of C.  It is built from A, C and one
     CSC copy of C, with positions in their index dtype (int32 for every
-    system here).  The global row at fine 64 / coarse 16 peaks at 0.24
-    dense n x m arrays so (test_global_row_memory_peak bounds it at 0.3);
-    with int64 positions it took 0.28, and built by scipy's bmat 0.32."""
+    system here).  Built so, the global row at fine 64 / coarse 16 peaks at
+    0.24 dense n x m arrays of memory, under the 0.3 that
+    test_global_row_memory_peak allows; with int64 positions it took 0.28,
+    and built by scipy's bmat 0.32."""
     A, C = A.tocsc(), C.tocsr()
     Ccol = C.tocsc()
     n, top = A.shape[0], A.nnz + C.nnz
