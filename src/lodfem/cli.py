@@ -31,7 +31,7 @@ def _build_parser():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", help="key = value config file")
         cmd.add_argument("--out", help="output CSV/raster path")
-        cmd.add_argument("--threads", type=int, help="corrector solve threads")
+        cmd.add_argument("--threads", type=int, help="corrector worker processes")
         cmd.add_argument("--preset", choices=sorted(PRESETS),
                          default="desk", help="base configuration")
     return parser

@@ -25,31 +25,32 @@ RuntimeError).  The constraint rows are read from matrix_full because its
 columns are all fine vertices, so every row has one layout about its node;
 interp.matrix drops the boundary vertices, and its row layouts change near
 the boundary.  A member's right-hand side is the template's weighted by the
-coefficient on its children.  Each patch is solved once: classes of at
-most _DENSE_MAX_DOFS dofs as dense stacks of up to _STACK_BYTES of
-stiffness, Cholesky for each patch and its Schur complement, larger classes
-one patch at a time, each with one SuperLU factorization of its KKT matrix:
-the stiffness in the template's order, the constraint rows last.  A failure
-names the element of its patch.  The solver threads write each stack's
-solution into an array the calling thread allocated, which also forms each
-member's dofs and nodes from the template and the lattice offsets, so no
-solved block lives in a worker's malloc arena.  The (coarse dof, patch
-dofs, values) triplets are summed in ascending element order into the
-corrector matrix, built once, so outputs are bit-identical at any thread
-count of the localized solves.  No global corrector set is assembled: the
-A-orthogonal projection x of the fine solution u onto the kernel, the
-constrained solve of b = A u with the system permuted into the elimination
-order (_kernel_projection), is its part there, so u - x is the Galerkin
-solution with the global correctors.  The harness computes global rows that
-way, and a global corrector as the projection of its hat.  The multiscale
-basis B = P - M' and its products are sparse.  A multiscale space holds the
-one coarse system of its mode.
+coefficient on its children.  Each patch is solved once, in stacks of one
+class: classes of at most _DENSE_MAX_DOFS dofs as dense stacks of up to
+_STACK_BYTES of stiffness, Cholesky for each patch and its Schur
+complement, larger classes in stacks of up to _STACK_BYTES of gathered
+values, each member with one SuperLU factorization of its KKT matrix: the
+stiffness in the template's order, the constraint rows last.  A failure
+names the element of its patch.  The stacks and their templates are made
+before any solve.  With more than one worker, processes forked from the
+caller (on Linux) solve the stacks and send their solutions back, since
+SuperLU does not run alongside Python in another thread; a worker dies with
+its parent.  The caller forms each member's dofs and nodes from the
+template and the lattice offsets, and sums the (coarse dof, patch dofs,
+values) triplets in ascending element order into the corrector matrix,
+built once, so outputs are bit-identical at any worker count.  No global
+corrector set is assembled: the A-orthogonal projection x of the fine
+solution u onto the kernel, the constrained solve of b = A u with the
+system permuted into the elimination order (_kernel_projection), is its
+part there, so u - x is the Galerkin solution with the global correctors.
+The harness computes global rows that way, and a global corrector as the
+projection of its hat.  The multiscale basis B = P - M' and its products
+are sparse.  A multiscale space holds the one coarse system of its mode.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 import scipy.sparse as sparse
@@ -125,7 +126,9 @@ class _Pattern:
         rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         col = local[matrix.indices[start[row] + rank]]
         inside = np.flatnonzero(col >= 0)
-        inside = inside[np.lexsort((col[inside], row[inside]))]
+        # a CSR matrix stores each (row, col) once: one argsort of unique
+        # keys takes a third of lexsort's time
+        inside = inside[np.argsort(row[inside] * n + col[inside])]
         count = np.bincount(row[inside], minlength=rows.size)
         kept = np.flatnonzero(count)
         indptr = np.zeros(kept.size + 1, dtype=matrix.indptr.dtype)
@@ -188,16 +191,18 @@ class _PatchSolver:
         self._children_rhs_cache = {}
 
     def stacks(self, elements):
-        """(template, members) pairs that cover `elements`, class by class:
-        stacks of up to _STACK_BYTES, one patch each past _DENSE_MAX_DOFS."""
+        """(template, members) pairs that cover `elements`, class by class,
+        in stacks of up to _STACK_BYTES: of patch stiffness in a class of at
+        most _DENSE_MAX_DOFS dofs, of gathered values (see gather) past it."""
         for label in np.unique(self.labels[elements]):
             members = elements[self.labels[elements] == label]
-            template = self._template(int(np.flatnonzero(self.labels == label)[0]))
-            n = template.dofs.size
-            size = max(1, _STACK_BYTES // (8 * n * n)) \
-                if n <= _DENSE_MAX_DOFS else 1
+            t = self._template(int(np.flatnonzero(self.labels == label)[0]))
+            n = t.dofs.size
+            values = n * n if n <= _DENSE_MAX_DOFS else \
+                t.A.indices.size + t.C.indices.size + n * t.nodes.size
+            size = max(1, _STACK_BYTES // (8 * values))
             for i in range(0, members.size, size):
-                yield template, members[i:i + size]
+                yield t, members[i:i + size]
 
     def _template(self, element):
         """The template of `element`'s class, from `element`'s own patch."""
@@ -273,24 +278,53 @@ class _PatchSolver:
         np.add.at(rhs, (slice(None), t.rhs_at), weights[:, :, None] * t.rhs)
         return dofs, rows, nodes, a, c, rhs
 
-    def solve(self, stack, out):
-        """Solve one stack (see stacks) into `out` (P, n, k), each member's
-        corrector block in its template's dof order."""
+    def solve(self, stack):
+        """The members' corrector blocks (P, n, k) of one stack (see
+        stacks), each in its template's dof order.  A dense stack is
+        factorized at once, a SuperLU stack member by member."""
         t, members = stack
         _, _, _, a, c, rhs = self.gather(stack)
-        if t.dofs.size <= _DENSE_MAX_DOFS:
-            A, C, b = t.A.dense(a), t.C.dense(c), rhs
-        else:
-            # A is bit-symmetric, so its CSR arrays are its CSC arrays: the
-            # CSC system SuperLU factorizes in the template's order.
-            A, C, b = t.A.matrix(a[0]).T, t.C.matrix(c[0]), rhs[0]
+        i = 0  # the member being solved, the first of a dense stack
         try:
-            x, _ = SaddleFactorization(A, C).solve(b, self.tol)
+            if t.dofs.size <= _DENSE_MAX_DOFS:
+                return SaddleFactorization(t.A.dense(a), t.C.dense(c)).solve(
+                    rhs, self.tol)[0]
+            x = np.empty_like(rhs)
+            for i in range(members.size):
+                # A is bit-symmetric, so its CSR arrays are its CSC arrays:
+                # the CSC system SuperLU factorizes in the template's order.
+                x[i] = SaddleFactorization(t.A.matrix(a[i]).T,
+                                           t.C.matrix(c[i])).solve(
+                    rhs[i], self.tol)[0]
+            return x
         except SolverFailure as exc:
-            element = members[exc.system or 0]
+            element = members[i + (exc.system or 0)]
             raise SolverFailure(f"corrector patch of element {element}: {exc}",
                                 residual=exc.residual) from exc
-        out[...] = x.reshape(out.shape)
+
+
+_worker_stacks = None  # (solver, stacks) in a corrector worker process
+
+
+def _start_worker(parent, solver, stacks):
+    """Pool initializer of a forked corrector worker: it is killed when its
+    parent process dies, and keeps the parent's solver and stacks."""
+    import ctypes
+    import signal
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(1, signal.SIGKILL):  # PR_SET_PDEATHSIG
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # the parent died before prctl
+        os._exit(1)
+    global _worker_stacks
+    _worker_stacks = solver, stacks
+
+
+def _solve_stack(index):
+    """Solve stack `index` in a corrector worker (see _start_worker)."""
+    solver, stacks = _worker_stacks
+    return solver.solve(stacks[index])
 
 
 def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
@@ -304,33 +338,27 @@ def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
     seeds = np.flatnonzero(
         (coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
     solver = _PatchSolver(hierarchy, ops, interp, order, tol)
-    blocks = []
-
-    def job(stack):
-        """The stack with the array its solution goes to.  Both the array
-        and the members' blocks over it are made here, on the calling
-        thread, so no solved block lives in a worker's malloc arena."""
-        t, members = stack
-        out = np.empty((members.size, t.dofs.size, t.nodes.size))
-        dofs, _, nodes = solver.place(stack)
-        blocks.extend(zip(members, nodes, dofs, out))
-        return stack, out
-
-    jobs = map(job, solver.stacks(seeds))
-    # Templates are built as the stacks are drawn, so the pool takes them a
-    # window at a time: drawn all at once they raised patch-large's peak RSS
-    # by about 2%.  One thread stays off the pool: a 1-worker pool raised
-    # patch-small's by about 6%, most likely from the worker's malloc arena.
-    # Workers past the CPUs the process may use would only add OS threads.
-    workers = min(threads, len(os.sched_getaffinity(0))
-                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    # Every template is built before the workers fork, so each finds them in
+    # its copy of this process, and the stacks do not depend on the workers.
+    stacks = list(solver.stacks(seeds))
+    # SuperLU does not run alongside Python in another thread, so the
+    # workers are processes: forked (on Linux only), never more than the CPUs
+    # this process may use, and none at one, where this process solves.
+    workers = min(threads, len(os.sched_getaffinity(0)), len(stacks)) \
+        if sys.platform == "linux" else 1
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            while window := list(islice(jobs, 16 * workers)):
-                list(pool.map(lambda job: solver.solve(*job), window))
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        with ProcessPoolExecutor(workers, get_context("fork"), _start_worker,
+                                 (os.getpid(), solver, stacks)) as pool:
+            # the first failure cancels the stacks not yet started
+            solutions = list(pool.map(_solve_stack, range(len(stacks))))
     else:
-        for stack, out in jobs:
-            solver.solve(stack, out)
+        solutions = map(solver.solve, stacks)
+    blocks = []
+    for stack, x in zip(stacks, solutions):
+        dofs, _, nodes = solver.place(stack)
+        blocks.extend(zip(stack[1], nodes, dofs, x))
     blocks.sort(key=lambda block: block[0])
     return [block[1:] for block in blocks]
 
@@ -362,7 +390,8 @@ def _merge(blocks, shape):
 def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
                            threads=1):
     """Correctors for every coarse interior node, summed in ascending element
-    order from solves on the patches of order `order` (an integer >= 1)."""
+    order from solves on the patches of order `order` (an integer >= 1), by
+    up to `threads` worker processes."""
     _check_order(order)
     blocks = _localized_blocks(hierarchy, ops, interp, order, tol, threads)
     return CorrectorSet(matrix=_merge(

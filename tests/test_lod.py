@@ -1,5 +1,12 @@
 import dataclasses
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from concurrent import futures
 from unittest import mock
 
 import numpy as np
@@ -54,9 +61,7 @@ def element_contribution(hier, ops, interp, node, element, order):
     solved on its own."""
     solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
     (stack,) = solver.stacks(np.array([element]))
-    t, _ = stack
-    x = np.empty((1, t.dofs.size, t.nodes.size))
-    solver.solve(stack, x)
+    x = solver.solve(stack)
     (dofs,), _, (nodes,) = solver.place(stack)
     column = list(nodes).index(hier.coarse.interior_index[node])
     out = np.zeros(hier.fine.n_interior)
@@ -183,36 +188,31 @@ def test_localized_truncation_decreases_with_order(problem):
     assert errors[0] >= errors[1] >= errors[2]
 
 
-def test_threaded_assembly_bit_identical(problem):
+def test_threaded_assembly_bit_identical(problem, monkeypatch):
+    """The corrector matrix has the same bits at 1, 2 and 4 workers."""
     hier, ops, interp = problem
+    monkeypatch.setattr(lod.os, "sched_getaffinity", lambda pid: set(range(4)))
     serial = assemble_corrector_set(hier, ops, interp, order=2, threads=1)
-    threaded = assemble_corrector_set(hier, ops, interp, order=2, threads=4)
-    assert (serial.matrix != threaded.matrix).nnz == 0
+    for threads in (2, 4):
+        pooled = assemble_corrector_set(hier, ops, interp, order=2,
+                                        threads=threads)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(pooled.matrix, name),
+                                  getattr(serial.matrix, name))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_thread_pool_capped_at_usable_cpus(monkeypatch, cpus):
-    """threads = 5000 asks for no more workers than the CPUs the process
-    may use, and for no pool on one CPU; the pool is fed windows of 16
-    stacks per worker, and the corrector matrix keeps the serial bits.  One
-    patch per stack gives 126 stacks at coarse 8.  A recording stand-in for
-    the pool maps in the calling thread."""
+def test_process_pool_capped_at_usable_cpus(monkeypatch, cpus):
+    """threads = 5000 asks for no more worker processes than the CPUs the
+    process may use, for no pool on one CPU, and for none off Linux, the one
+    platform the workers are forked on; the corrector matrix keeps the
+    serial bits."""
     pools = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers, self.windows = max_workers, []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, window):
-            self.windows.append(len(window))
-            return map(fn, window)
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args)
 
     hier = refine_hierarchy(build_uniform_mesh(8), 1)
     ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
@@ -220,17 +220,98 @@ def test_thread_pool_capped_at_usable_cpus(monkeypatch, cpus):
     interp = build_interpolation(hier)
     monkeypatch.setattr(lod, "_STACK_BYTES", 1)
     serial = assemble_corrector_set(hier, ops, interp, order=1, threads=1)
-    monkeypatch.setattr(lod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(lod.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
+                        lambda pid: set(range(cpus)))
     capped = assemble_corrector_set(hier, ops, interp, order=1, threads=5000)
-    assert [pool.max_workers for pool in pools] == ([cpus] if cpus > 1 else [])
-    for pool in pools:
-        assert sum(pool.windows) == 126
-        assert set(pool.windows[:-1]) == {16 * cpus}
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(capped.matrix, name),
-                              getattr(serial.matrix, name))
+    assert pools == ([cpus] if cpus > 1 else [])
+    monkeypatch.setattr(lod.sys, "platform", "darwin")
+    elsewhere = assemble_corrector_set(hier, ops, interp, order=1,
+                                       threads=5000)
+    assert pools == ([cpus] if cpus > 1 else [])
+    for matrix in (capped.matrix, elsewhere.matrix):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, name),
+                                  getattr(serial.matrix, name))
+
+
+def _two_cpus(monkeypatch):
+    """Let the corrector pool fork two workers on any machine."""
+    monkeypatch.setattr(lod.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_worker_failure_reaches_the_caller(problem, monkeypatch):
+    """A stack failing in a worker raises in the caller the SolverFailure of
+    the serial sweep, with its element and residual, and no worker is left
+    after it or after a sweep that succeeds."""
+    hier, ops, interp = problem
+    _two_cpus(monkeypatch)
+    failures = []
+    for threads in (1, 2):
+        with pytest.raises(SolverFailure,
+                           match=r"corrector patch of element \d+: solve missed"
+                           ) as failure:
+            assemble_corrector_set(hier, ops, interp, order=1, tol=1e-30,
+                                   threads=threads)
+        assert not multiprocessing.active_children()
+        failures.append(failure.value)
+    serial, pooled = failures
+    assert str(pooled) == str(serial)
+    assert pooled.residual is not None and pooled.residual == serial.residual
+    assemble_corrector_set(hier, ops, interp, order=2, threads=2)
+    assert not multiprocessing.active_children()
+
+
+def _live_group(pgid):
+    """Pids of the processes of group `pgid` that are not zombies."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="corrector workers are forked on Linux only")
+def test_killed_sweep_leaves_no_worker():
+    """A sweep of two-worker corrector sets, started in its own session and
+    killed by SIGKILL while its workers run, leaves no live process in its
+    group within 2 s."""
+    script = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from lodfem import *\n"
+        "hier = refine_hierarchy(build_uniform_mesh(8), 3)\n"
+        "ops = build_operators(hier.fine, make_constant(1.0, hier.fine), lambda x, y: x)\n"
+        "interp = build_interpolation(hier)\n"
+        "while True:\n"
+        "    assemble_corrector_set(hier, ops, interp, order=2, threads=2)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"), os.environ.get("PYTHONPATH", "")])}
+    sweep = subprocess.Popen([sys.executable, "-c", script], env=env,
+                             start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while len(_live_group(sweep.pid)) < 3:  # the sweep and its workers
+            assert sweep.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        sweep.kill()
+        sweep.wait()
+        deadline = time.monotonic() + 2
+        while _live_group(sweep.pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _live_group(sweep.pid)
+    finally:
+        for pid in _live_group(sweep.pid):
+            os.kill(pid, signal.SIGKILL)
+        sweep.kill()
+        sweep.wait()
 
 
 @settings(max_examples=20)
@@ -581,28 +662,40 @@ def test_rejected_stack_names_the_element(problem):
 
 
 def test_failing_later_member_names_its_element(monkeypatch):
-    """A dense stack whose third member's patch stiffness is not positive
-    definite fails, and the failure names that member's element."""
+    """A stack whose third member's patch stiffness is zero fails, and the
+    failure names that member's element: a dense stack, a SuperLU stack of
+    several members, and either solved by two workers.  The failing element
+    is chosen here, in the parent, as no state a worker changes comes
+    back."""
     hier = refine_hierarchy(build_uniform_mesh(8), 1)
     ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
                           lambda x, y: x)
     interp = build_interpolation(hier)
-    gather, failing = lod._PatchSolver.gather, []
+    seeds = np.flatnonzero(
+        (hier.coarse.interior_index[hier.coarse.triangles] >= 0).any(axis=1))
+    _two_cpus(monkeypatch)
+    gather = lod._PatchSolver.gather
+    for dense_max, threads, reason in [
+            (lod._DENSE_MAX_DOFS, 1, "not positive definite"),
+            (0, 1, "exactly singular"),
+            (lod._DENSE_MAX_DOFS, 2, "not positive definite"),
+            (0, 2, "exactly singular")]:
+        monkeypatch.setattr(lod, "_DENSE_MAX_DOFS", dense_max)
+        solver = lod._PatchSolver(hier, ops, interp, 1, 1e-10)
+        t, members = next(s for s in solver.stacks(seeds) if s[1].size >= 3)
+        assert (t.dofs.size <= lod._DENSE_MAX_DOFS) == (dense_max > 0)
+        failing = members[2]
 
-    def third_member_negated(self, stack):
-        dofs, rows, nodes, a, c, rhs = gather(self, stack)
-        t, members = stack
-        if not failing and members.size >= 3:
-            assert t.dofs.size <= lod._DENSE_MAX_DOFS
-            failing.append(members[2])
-            a[2] = -a[2]
-        return dofs, rows, nodes, a, c, rhs
+        def third_member_zeroed(self, stack, failing=failing):
+            dofs, rows, nodes, a, c, rhs = gather(self, stack)
+            a[stack[1] == failing] = 0.0
+            return dofs, rows, nodes, a, c, rhs
 
-    monkeypatch.setattr(lod._PatchSolver, "gather", third_member_negated)
-    with pytest.raises(SolverFailure, match="not positive definite") as failure:
-        assemble_corrector_set(hier, ops, interp, order=1)
-    assert str(failure.value).startswith(
-        f"corrector patch of element {failing[0]}: ")
+        monkeypatch.setattr(lod._PatchSolver, "gather", third_member_zeroed)
+        with pytest.raises(SolverFailure, match=reason) as failure:
+            assemble_corrector_set(hier, ops, interp, order=1, threads=threads)
+        assert str(failure.value).startswith(
+            f"corrector patch of element {failing}: ")
 
 
 @pytest.mark.parametrize("coarse_n", [4, 8])
