@@ -53,16 +53,25 @@ def _assemble(mesh, local, interior):
     return A[idx][:, idx].tocsr()
 
 
+def element_stiffness(mesh, coeff=None, elements=slice(None)):
+    """Element stiffness matrices (E, 3, 3) of `elements` (all by default):
+    entry (e, i, j) = A_e * int_e grad(l_i).grad(l_j), at the element's
+    vertices in mesh.triangles order."""
+    gx, gy = mesh.element_gradients
+    gx, gy = gx[elements], gy[elements]
+    local = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+    local *= (coefficient_values(mesh, coeff)[elements]
+              * mesh.element_areas[elements])[:, None, None]
+    return local
+
+
 def assemble_stiffness(mesh, coeff=None, interior=True):
     """Stiffness matrix: entry (i,j) = sum_e A_e * int_e grad(l_i).grad(l_j).
 
     With interior=True (default) Dirichlet rows and columns are removed via
     the mesh dof map; interior=False returns the full singular matrix.
     """
-    gx, gy = mesh.element_gradients
-    local = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
-    local *= (coefficient_values(mesh, coeff) * mesh.element_areas)[:, None, None]
-    return _assemble(mesh, local, interior)
+    return _assemble(mesh, element_stiffness(mesh, coeff), interior)
 
 
 def assemble_mass(mesh, interior=True):
@@ -96,27 +105,20 @@ def apply_subset_stiffness(mesh, coeff, elements, vec_full):
     Realizes the element-restricted bilinear form a_K(., .) without building
     the subset matrix.  `vec_full` is one vector (nv,) or a block (nv, k);
     each column of a block gives the same bits as its single-vector call.
-    `elements` is one index array (E,) or a batch (P, E) of them, whose
-    results stack along a leading axis of length P.
     """
     values = coefficient_values(mesh, coeff)[elements]
     gx, gy = mesh.element_gradients
-    gx, gy = gx[elements][..., None], gy[elements][..., None]
+    gx, gy = gx[elements][:, :, None], gy[elements][:, :, None]
     tri = mesh.triangles[elements]
     block = vec_full.reshape(mesh.n_vertices, -1)
     vloc = block[tri]
-    weight = (values * mesh.element_areas[elements])[..., None]
-    qx = weight * (gx * vloc).sum(axis=-2)
-    qy = weight * (gy * vloc).sum(axis=-2)
-    contrib = gx * qx[..., None, :] + gy * qy[..., None, :]
-    batch = tri.shape[:-2]
-    out = np.zeros((*batch, *block.shape))
-    # entry (p, v) of the batch lies at row p * nv + v of the flattened result
-    offset = mesh.n_vertices * np.arange(out.size // block.size)
-    np.add.at(out.reshape(-1, block.shape[1]),
-              (tri + offset.reshape(*batch, 1, 1)).ravel(),
-              contrib.reshape(-1, block.shape[1]))
-    return out.reshape(*batch, *vec_full.shape)
+    weight = (values * mesh.element_areas[elements])[:, None]
+    qx = weight * (gx * vloc).sum(axis=1)
+    qy = weight * (gy * vloc).sum(axis=1)
+    contrib = gx * qx[:, None] + gy * qy[:, None]
+    out = np.zeros(block.shape)
+    np.add.at(out, tri.ravel(), contrib.reshape(-1, block.shape[1]))
+    return out.reshape(vec_full.shape)
 
 
 def subset_l2_sq(mesh, elements, vec_full):

@@ -24,11 +24,10 @@ from . import fem
 
 @dataclass(eq=False)
 class InterpolationOperator:
-    matrix: sparse.csr_matrix       # coarse interior nodes x fine interior dofs
     # coarse interior nodes x all fine vertices, one row layout about every
-    # node: the patch solver reads its constraint values here by rank
+    # node: the patch solver reads its constraint values here by rank; the
+    # columns of the fine interior dofs are the constraint on them
     matrix_full: sparse.csr_matrix
-    denominators: np.ndarray        # per coarse interior node, > 0
 
 
 def _gradient_operators(mesh):
@@ -68,9 +67,4 @@ def build_interpolation(hierarchy):
     scale = sparse.diags(1.0 / denominators)
     matrix_full = (scale @ numerator).tocsr()
     matrix_full.eliminate_zeros()
-    matrix = matrix_full[:, fine.interior_vertices].tocsr()
-    return InterpolationOperator(
-        matrix=matrix,
-        matrix_full=matrix_full,
-        denominators=denominators,
-    )
+    return InterpolationOperator(matrix_full=matrix_full)

@@ -15,16 +15,17 @@ into classes of translates (mesh.patch_classes); each class gets a template
 from one representative patch: its fine dofs, listed in the fine mesh's
 elimination order (TriMesh.elimination_order), its nonzero constraint rows,
 the sparsity of its stiffness and constraint blocks (CSR with sorted
-indices), and the unit-coefficient right-hand side of each child element.
-Every member lists its dofs in the template's order, moved by its lattice
-offset.  A member's values of both blocks are read from CSR data, of the
-fine stiffness and of interp.matrix_full, at the template's ranks: where
-each template entry sits in its row, which is the same in every member
-(checked against the member's column indices; a mismatch is a
+indices), and the unit-coefficient right-hand side of each child element:
+its element stiffness (fem.element_stiffness) times the coarse hats at its
+three vertices.  Every member lists its dofs in the template's order, moved
+by its lattice offset.  A member's values of both blocks are read from CSR
+data, of the fine stiffness and of interp.matrix_full, at the template's
+ranks: where each template entry sits in its row, which is the same in
+every member (checked against the member's column indices; a mismatch is a
 RuntimeError).  The constraint rows are read from matrix_full because its
 columns are all fine vertices, so every row has one layout about its node;
-interp.matrix drops the boundary vertices, and its row layouts change near
-the boundary.  A member's right-hand side is the template's weighted by the
+restricted to the fine interior dofs, the row layouts would change near the
+boundary.  A member's right-hand side is the template's weighted by the
 coefficient on its children.  Each patch is solved once, in stacks of one
 class: classes of at most _DENSE_MAX_DOFS dofs as dense stacks of up to
 _STACK_BYTES of stiffness, Cholesky for each patch and its Schur
@@ -91,10 +92,11 @@ def _kernel_projection(hierarchy, ops, interp, p, tol, where):
     of the quasi-interpolation, on the whole domain: the constrained solve
     of b = A p, its system permuted into the fine mesh's elimination order.
     Failures name `where`."""
-    order = hierarchy.fine.elimination_order
+    fine = hierarchy.fine
+    order = fine.elimination_order
     A = ops.stiffness_coeff[order][:, order]
     A.sort_indices()
-    C = interp.matrix[:, order]
+    C = interp.matrix_full[:, fine.interior_vertices[order]]
     C.sort_indices()
     p = p[order]
     try:
@@ -187,8 +189,6 @@ class _PatchSolver:
         self.stiffness = ops.stiffness_coeff
         self.rank = np.argsort(hierarchy.fine.elimination_order)
         self.coeff = fem.coefficient_values(hierarchy.fine, ops.coeff)
-        self.element_classes = patch_classes(hierarchy, 0)[0]
-        self._children_rhs_cache = {}
 
     def stacks(self, elements):
         """(template, members) pairs that cover `elements`, class by class,
@@ -223,34 +223,19 @@ class _PatchSolver:
         rows, C = _Pattern.of(self.interp.matrix_full,
                               coarse.interior_index[patch.active_coarse_nodes],
                               local, dofs.size)
-        corners = fine.triangles[hierarchy.children[element]]
+        # each child's unit-coefficient stiffness applied to the hats at its
+        # vertices, (children, 3, k)
+        children = hierarchy.children[element]
+        corners = fine.triangles[children]
+        hats = hierarchy.prolongation[corners.ravel()][:, nodes].toarray()
+        rhs = fem.element_stiffness(fine, None, children) @ hats.reshape(
+            *corners.shape, nodes.size)
         interior = ~fine.boundary_flags[corners]
         return _PatchTemplate(
             element=element, dofs=dofs, rows=rows, nodes=nodes, A=A, C=C,
             rhs_child=np.nonzero(interior)[0],
             rhs_at=local[corners[interior]],
-            rhs=self._children_rhs(element)[interior])
-
-    def _children_rhs(self, element):
-        """Each child's unit-coefficient rhs at its vertices, (children, 3,
-        k); the same for every translate of the element itself (its order-0
-        class), so it is computed once per such class."""
-        label = self.element_classes[element]
-        if label not in self._children_rhs_cache:
-            hierarchy, fine = self.hierarchy, self.hierarchy.fine
-            first = int(np.flatnonzero(self.element_classes == label)[0])
-            nodes = hierarchy.coarse.interior_index[
-                hierarchy.coarse.triangles[first]]
-            hats = hierarchy.prolongation[:, np.sort(nodes[nodes >= 0])].toarray()
-            # one child per batch entry, each result over all fine vertices,
-            # so the batches are cut to the stack budget
-            children = hierarchy.children[first]
-            size = max(1, _STACK_BYTES // hats.nbytes)
-            self._children_rhs_cache[label] = np.concatenate([
-                fem.apply_subset_stiffness(fine, None, batch[:, None], hats)[
-                    np.arange(batch.size)[:, None], fine.triangles[batch]]
-                for batch in np.split(children, range(size, children.size, size))])
-        return self._children_rhs_cache[label]
+            rhs=rhs[interior])
 
     def place(self, stack):
         """The members' patch dofs, constraint rows and element nodes, one

@@ -172,6 +172,25 @@ def interpolation_row(hierarchy, coarse_vertex):
     return row / denom, denom
 
 
+def interior_interpolation(hierarchy, op):
+    """The quasi-interpolation on fine interior dof vectors: the columns of
+    op.matrix_full at the fine interior vertices, as CSR."""
+    return op.matrix_full[:, hierarchy.fine.interior_vertices].tocsr()
+
+
+def interpolation_denominators(hierarchy, op):
+    """The normalization that divides each row of op.matrix_full: the
+    row's unscaled H1-weighted pairing with its hat, assembled densely with
+    plane-fit gradients, over the row, at the row's largest entry."""
+    H = hierarchy.coarse.mesh_size
+    pairing = dense_mass(hierarchy.fine) + (H * H) * dense_stiffness(hierarchy.fine)
+    numerator = hierarchy.prolongation.T @ pairing
+    full = op.matrix_full.toarray()
+    at = np.abs(full).argmax(axis=1)
+    rows = np.arange(full.shape[0])
+    return numerator[rows, at] / full[rows, at]
+
+
 def dense_kkt_solve(A, C, b):
     """Dense KKT elimination for min 1/2 x'Ax - b'x s.t. Cx = 0, for one
     right-hand side (n,) or a block of them (n, k)."""

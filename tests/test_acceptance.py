@@ -144,7 +144,8 @@ def test_criterion_3_corrector_orthogonality():
         coeff = make_checkerboard(16, 100.0, 1, hier.fine)
         ops = build_operators(hier.fine, coeff, lambda x, y: x)
         interp = build_interpolation(hier)
-        kernel = sla.null_space(interp.matrix.toarray())
+        kernel = sla.null_space(
+            oracles.interior_interpolation(hier, interp).toarray())
         for node in hier.coarse.interior_vertices:
             phi = global_corrector(hier, ops, interp, int(node))
             dof = hier.coarse.interior_index[node]

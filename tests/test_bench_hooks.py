@@ -28,7 +28,7 @@ CONFIG = ("coarse_n = 4\nlevels = 1\nrhs = x\n"
 EXPECTED = {
     "localized": (16, "localized", {
         "linalg.SaddleFactorization", "mesh.element_patch",
-        "fem.apply_subset_stiffness", "lod.assemble_corrector_set"}),
+        "lod.assemble_corrector_set"}),
     "global": (16, "global", {"linalg.SaddleFactorization"}),
     "localized-superlu": (32, "localized", {
         "linalg.SaddleFactorization", "linalg.splu",

@@ -213,10 +213,3 @@ def test_apply_subset_stiffness_sums_to_full(rng):
     for j in range(3):
         assert np.array_equal(
             out[:, j], apply_subset_stiffness(mesh, coeff, elements, block[:, j]))
-    # a (P, E) batch of element sets gives each set's result, stacked
-    sets = np.array([[0, 5, 9], [9, 2, 30], [7, 7, 1]])
-    batched = apply_subset_stiffness(mesh, coeff, sets, block)
-    assert batched.shape == (3, *block.shape)
-    for p, elements in enumerate(sets):
-        assert np.array_equal(
-            batched[p], apply_subset_stiffness(mesh, coeff, elements, block))

@@ -24,7 +24,8 @@ from lodfem import ExperimentConfig, SolverFailure, build_interpolation, \
 from lodfem.lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set
 
 from oracles import dense_kkt_solve, entry_values, fit_decay, \
-    global_corrector, global_corrector_set, kkt_matrix, node_star
+    global_corrector, global_corrector_set, interior_interpolation, \
+    kkt_matrix, node_star
 
 
 def saturation_order(hier):
@@ -48,8 +49,8 @@ def problem(small_hierarchy):
 
 @pytest.fixture(scope="module")
 def kernel_basis(problem):
-    _, _, interp = problem
-    return sla.null_space(interp.matrix.toarray())
+    hier, _, interp = problem
+    return sla.null_space(interior_interpolation(hier, interp).toarray())
 
 
 def energy(ops, v):
@@ -114,11 +115,12 @@ def test_corrector_nonzero_for_constant_coefficient(small_hierarchy):
 
 def test_corrector_set_satisfies_constraints(problem):
     hier, ops, interp = problem
+    C = interior_interpolation(hier, interp)
     for cs in (global_corrector_set(hier, ops, interp),
                assemble_corrector_set(hier, ops, interp, order=2)):
         for i in range(cs.matrix.shape[0]):
             phi = cs.matrix.getrow(i).toarray().ravel()
-            assert np.linalg.norm(interp.matrix @ phi) <= 1e-9
+            assert np.linalg.norm(C @ phi) <= 1e-9
 
 
 @pytest.mark.parametrize("order", [None, 0, 1.5])
@@ -330,7 +332,8 @@ def test_localized_correctors_in_kernel_and_thread_independent(
                                threads=threads).matrix
         for threads in (1, 2))
     phi = serial.toarray()
-    assert np.all(np.linalg.norm(phi @ interp.matrix.T.toarray(), axis=1)
+    C = interior_interpolation(hier, interp)
+    assert np.all(np.linalg.norm(phi @ C.T.toarray(), axis=1)
                   <= 1e-8 * np.linalg.norm(phi, axis=1))
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(serial, name), getattr(threaded, name))
@@ -363,7 +366,7 @@ def test_orthogonal_splitting(problem, rng):
     cs = global_corrector_set(hier, ops, interp)
     space = build_multiscale_space(hier, ops, cs)
     P = hier.prolongation_interior
-    C = interp.matrix
+    C = interior_interpolation(hier, interp)
     coarse_map = (C @ P).toarray()
     for _ in range(5):
         v = rng.standard_normal(hier.fine.n_interior)
@@ -511,7 +514,7 @@ def test_zero_corrector_set_is_plain_coarse_fem(problem):
 
 
 @pytest.mark.parametrize("coarse_n", [4, 8, 16])
-@pytest.mark.parametrize("refinements", [1, 2])
+@pytest.mark.parametrize("refinements", [1, 2, 3])
 def test_patch_templates_match_element_patch(coarse_n, refinements):
     """For every element, at orders 1 to 3: its translated class template
     has element_patch's dofs, listed in the template's elimination order
@@ -525,6 +528,7 @@ def test_patch_templates_match_element_patch(coarse_n, refinements):
     coeff = make_checkerboard(fine.cells_per_side, 1e4, 3, fine)
     ops = build_operators(fine, coeff, lambda x, y: x)
     interp = build_interpolation(hier)
+    interior = interior_interpolation(hier, interp)
     rank = np.argsort(fine.elimination_order)
     seeds = np.flatnonzero((coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
 
@@ -548,7 +552,7 @@ def test_patch_templates_match_element_patch(coarse_n, refinements):
                 np.testing.assert_array_equal(np.sort(dofs[p]),
                                               patch.fine_interior_dofs)
                 assert np.unique(dofs[p] - t.dofs).size == 1
-                C = interp.matrix[coarse.interior_index[
+                C = interior[coarse.interior_index[
                     patch.active_coarse_nodes]][:, dofs[p]]
                 active = coarse.interior_index[patch.active_coarse_nodes]
                 np.testing.assert_array_equal(
@@ -577,12 +581,13 @@ def test_rank_gather_equals_entry_lookup(fine_n, coarse_n, order):
     """Each member's stiffness and constraint values, read at its
     template's ranks (one byte each), are bit for bit the values a key
     search finds at the member's entries of the fine stiffness and of
-    interp.matrix."""
+    the quasi-interpolation on the fine interior dofs."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
                             int(np.log2(fine_n // coarse_n)))
     coeff = make_checkerboard(fine_n, 1e4, 3, hier.fine)
     ops = build_operators(hier.fine, coeff, lambda x, y: x)
     interp = build_interpolation(hier)
+    C = interior_interpolation(hier, interp)
     solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
     coarse = hier.coarse
     seeds = np.flatnonzero((coarse.interior_index[coarse.triangles] >= 0).any(axis=1))
@@ -596,7 +601,7 @@ def test_rank_gather_equals_entry_lookup(fine_n, coarse_n, order):
                                               dofs[:, a_rows],
                                               dofs[:, t.A.indices]))
         c_rows = np.repeat(np.arange(t.rows.size), np.diff(t.C.indptr))
-        assert np.array_equal(c, entry_values(interp.matrix, rows[:, c_rows],
+        assert np.array_equal(c, entry_values(C, rows[:, c_rows],
                                               dofs[:, t.C.indices]))
         checked += members.size
     assert checked == seeds.size
@@ -711,7 +716,8 @@ def test_global_projection_matches_dense_kkt_oracle(coarse_n):
     interp = build_interpolation(hier)
     P = hier.prolongation_interior.toarray()
     x = lod._kernel_projection(hier, ops, interp, P, 1e-10, "global")
-    A, C = ops.stiffness_coeff.toarray(), interp.matrix.toarray()
+    A = ops.stiffness_coeff.toarray()
+    C = interior_interpolation(hier, interp).toarray()
     expected, _ = dense_kkt_solve(A, C, A @ P)
     assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
     assert np.abs(C @ x).max() <= 1e-13 * np.abs(x).max()
@@ -755,7 +761,8 @@ def test_kkt_matrix_is_the_block_matrix(problem, monkeypatch):
     A, C, _, _ = built[-1]
     order = hier.fine.elimination_order
     S = ops.stiffness_coeff[order][:, order]
-    assert (A != S).nnz == 0 and (C != interp.matrix[:, order]).nnz == 0
+    assert (A != S).nnz == 0 and \
+        (C != interior_interpolation(hier, interp)[:, order]).nnz == 0
 
 
 def _global_row(fine_n, coarse_n, contrast, seed):
