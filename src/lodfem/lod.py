@@ -36,10 +36,11 @@ names the element of its patch.  The stacks and their templates are made
 before any solve.  With more than one worker, processes forked from the
 caller (on Linux) solve the stacks and send their solutions back, since
 SuperLU does not run alongside Python in another thread; a worker dies with
-its parent.  The caller forms each member's dofs and nodes from the
-template and the lattice offsets, and sums the (coarse dof, patch dofs,
-values) triplets in ascending element order into the corrector matrix,
-built once, so outputs are bit-identical at any worker count.  No global
+its parent.  The caller writes each solution as it comes into Z, a row per
+(element, node of the element) on the element's patch dofs.  The corrector
+matrix is R Z, with R the node-element incidence whose rows list the rows
+of Z in ascending element order; scipy sums each entry in that order, so
+outputs are bit-identical at any worker count.  No global
 corrector set is assembled: the A-orthogonal projection x of the fine
 solution u onto the kernel, the constrained solve of b = A u with the
 system permuted into the elimination order (_kernel_projection), is its
@@ -65,8 +66,9 @@ from .mesh import _check_order, element_patch, patch_classes
 # dofs; the dense stack is 4.5x faster at 87 dofs and SuperLU 7x faster at
 # 1125.
 _DENSE_MAX_DOFS = 300
-# Patch stiffness bytes per dense stack.  On patch-small, stacks of 8 and 16
-# MiB raised peak RSS by 11% and 30% and saved no time.
+# Bytes per stack: of patch stiffness in a dense class, of gathered values
+# (see _PatchSolver.stacks) in a SuperLU class.  On patch-small, dense
+# stacks of 8 and 16 MiB raised peak RSS by 11% and 30% and saved no time.
 _STACK_BYTES = 2 ** 21
 
 
@@ -312,12 +314,29 @@ def _solve_stack(index):
     return solver.solve(stacks[index])
 
 
-def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
-    """(nodes, dofs, x) of every element's patch, in ascending element order.
+def _pooled(workers, solver, stacks):
+    """The solutions of `stacks`, in order, from `workers` forked processes."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    with ProcessPoolExecutor(workers, get_context("fork"), _start_worker,
+                             (os.getpid(), solver, stacks)) as pool:
+        # the first failure cancels the stacks not yet started
+        yield from pool.map(_solve_stack, range(len(stacks)))
 
-    The patch solver and its templates are gone when this returns, so the
-    merge that follows does not hold them.
+
+def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
+                           threads=1):
+    """Correctors for every coarse interior node from solves on the patches
+    of order `order` (an integer >= 1), by up to `threads` worker processes.
+
+    A row of Z holds one seed element's corrector of one of its nodes, on
+    the element's patch dofs, in stack order; row a of the incidence R lists
+    the rows of Z of node a in ascending element order.  The corrector matrix
+    is R Z, its indices sorted: scipy sums each entry from zero in the stored
+    order of R's row and drops exact-zero sums, so the bits do not depend on
+    how the stacks were solved, and R is never sorted.
     """
+    _check_order(order)
     coarse = hierarchy.coarse
     # elements with only boundary vertices seed no corrector
     seeds = np.flatnonzero(
@@ -326,61 +345,41 @@ def _localized_blocks(hierarchy, ops, interp, order, tol, threads):
     # Every template is built before the workers fork, so each finds them in
     # its copy of this process, and the stacks do not depend on the workers.
     stacks = list(solver.stacks(seeds))
+    places = [(members, nodes, dofs) for (_, members), (dofs, _, nodes) in
+              zip(stacks, map(solver.place, stacks))]
+    ends = np.cumsum([0] + [nodes.shape[1] * dofs.size
+                            for _, nodes, dofs in places])
+    data = np.empty(ends[-1])
     # SuperLU does not run alongside Python in another thread, so the
     # workers are processes: forked (on Linux only), never more than the CPUs
     # this process may use, and none at one, where this process solves.
     workers = min(threads, len(os.sched_getaffinity(0)), len(stacks)) \
         if sys.platform == "linux" else 1
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        with ProcessPoolExecutor(workers, get_context("fork"), _start_worker,
-                                 (os.getpid(), solver, stacks)) as pool:
-            # the first failure cancels the stacks not yet started
-            solutions = list(pool.map(_solve_stack, range(len(stacks))))
-    else:
-        solutions = map(solver.solve, stacks)
-    blocks = []
-    for stack, x in zip(stacks, solutions):
-        dofs, _, nodes = solver.place(stack)
-        blocks.extend(zip(stack[1], nodes, dofs, x))
-    blocks.sort(key=lambda block: block[0])
-    return [block[1:] for block in blocks]
-
-
-def _merge(blocks, shape):
-    """CSR matrix from (rows, cols, values) blocks, values[:, j] in row rows[j].
-
-    Entries that meet at one position are summed from zero in block order,
-    so the result does not depend on how the blocks were computed.
-    """
-    pieces = [[] for _ in range(shape[0])]
-    for rows, cols, values in blocks:
-        for j, row in enumerate(rows):
-            pieces[row].append((cols, values[:, j]))
-    indices, data = [], []
-    for row_pieces in pieces:
-        cols, inverse = np.unique(np.concatenate([c for c, _ in row_pieces]),
-                                  return_inverse=True)
-        indices.append(cols)
-        data.append(np.bincount(inverse, weights=np.concatenate(
-            [v for _, v in row_pieces])))
-    indptr = np.cumsum([0] + [cols.size for cols in indices])
-    matrix = sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=shape)
-    matrix.eliminate_zeros()
-    return matrix
-
-
-def assemble_corrector_set(hierarchy, ops, interp, order=2, tol=1e-10,
-                           threads=1):
-    """Correctors for every coarse interior node, summed in ascending element
-    order from solves on the patches of order `order` (an integer >= 1), by
-    up to `threads` worker processes."""
-    _check_order(order)
-    blocks = _localized_blocks(hierarchy, ops, interp, order, tol, threads)
-    return CorrectorSet(matrix=_merge(
-        blocks, (hierarchy.coarse.n_interior, hierarchy.fine.n_interior)))
+    for x, start, end in zip(_pooled(workers, solver, stacks) if workers > 1
+                             else map(solver.solve, stacks), ends, ends[1:]):
+        data[start:end].reshape(len(x), -1, x.shape[1])[...] = \
+            x.transpose(0, 2, 1)
+    # The templates go before Z's indices are made, so the two never meet in
+    # memory; the indices are written in place, as narrow as scipy keeps them.
+    del solver, stacks
+    indices = np.empty(data.size, sparse.get_index_dtype(maxval=data.size))
+    for start, end, (_, nodes, dofs) in zip(ends, ends[1:], places):
+        indices[start:end].reshape(*nodes.shape, -1)[...] = dofs[:, None]
+    lengths = np.repeat([dofs.shape[1] for _, _, dofs in places],
+                        [nodes.size for _, nodes, _ in places])
+    element = np.concatenate([np.repeat(members, nodes.shape[1])
+                              for members, nodes, _ in places])
+    node = np.concatenate([nodes.ravel() for _, nodes, _ in places])
+    del places
+    Z = sparse.csr_matrix((data, indices, np.r_[0, np.cumsum(lengths)]),
+                          shape=(lengths.size, hierarchy.fine.n_interior))
+    R = sparse.csr_matrix(
+        (np.ones(node.size), np.lexsort((element, node)),
+         np.r_[0, np.cumsum(np.bincount(node, minlength=coarse.n_interior))]),
+        shape=(coarse.n_interior, node.size))
+    matrix = R @ Z
+    matrix.sort_indices()
+    return CorrectorSet(matrix=matrix)
 
 
 def build_multiscale_space(hierarchy, ops, correctors, mode="galerkin"):

@@ -57,10 +57,10 @@ def energy(ops, v):
     return float(np.sqrt(max(v @ (ops.stiffness_coeff @ v), 0.0)))
 
 
-def element_contribution(hier, ops, interp, node, element, order):
+def element_contribution(solver, node, element):
     """Fine interior vector of `node`'s contribution from `element`'s patch,
-    solved on its own."""
-    solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
+    solved on its own by `solver` (a lod._PatchSolver)."""
+    hier = solver.hierarchy
     (stack,) = solver.stacks(np.array([element]))
     x = solver.solve(stack)
     (dofs,), _, (nodes,) = solver.place(stack)
@@ -139,7 +139,8 @@ def test_local_corrector_supported_in_patch(problem):
     node = int(hier.coarse.interior_vertices[0])
     element = int(node_star(hier.coarse, node)[0])
     patch = element_patch(hier, element, 1)
-    phi = element_contribution(hier, ops, interp, node, element, 1)
+    phi = element_contribution(lod._PatchSolver(hier, ops, interp, 1, 1e-10),
+                               node, element)
     outside = np.setdiff1d(np.arange(hier.fine.n_interior),
                            patch.fine_interior_dofs)
     assert np.all(phi[outside] == 0.0)
@@ -166,17 +167,37 @@ def test_local_correctors_sum_to_global_at_saturation(fine_n, coarse_n,
     assert max(energy(ops, row) for row in diff) <= 1e-8
 
 
-def test_assemble_matches_manual_star_sums(problem):
-    hier, ops, interp = problem
-    cs = assemble_corrector_set(hier, ops, interp, order=1)
-    node = int(hier.coarse.interior_vertices[4])
-    star = node_star(hier.coarse, node)
-    assert star.size == 6
-    manual = np.zeros(hier.fine.n_interior)
-    for element in star:
-        manual += element_contribution(hier, ops, interp, node, int(element), 1)
-    row = cs.matrix.getrow(hier.coarse.interior_index[node]).toarray().ravel()
-    np.testing.assert_array_equal(row, manual)
+def test_assemble_matches_manual_star_sums(monkeypatch):
+    """Every row of the corrector matrix, at 1 and 2 workers, has the bits
+    of its node's contributions from the elements of its star, each solved
+    on its own, summed from zero in ascending element order: at fine 16,
+    orders 1 and 2, and at fine 32, order 1, where the patches of 8 of the
+    30 seed elements are past _DENSE_MAX_DOFS, so SuperLU solutions are
+    summed too.  The matrix is canonical and stores no zero."""
+    _two_cpus(monkeypatch)
+    for fine_n, order in [(16, 1), (16, 2), (32, 1)]:
+        hier = refine_hierarchy(build_uniform_mesh(4),
+                                int(np.log2(fine_n // 4)))
+        ops = build_operators(hier.fine,
+                              make_checkerboard(4, 100.0, 1, hier.fine),
+                              lambda x, y: x)
+        interp = build_interpolation(hier)
+        solver = lod._PatchSolver(hier, ops, interp, order, 1e-10)
+        seeds = np.flatnonzero(
+            (hier.coarse.interior_index[hier.coarse.triangles] >= 0).any(axis=1))
+        assert sum(members.size for t, members in solver.stacks(seeds)
+                   if t.dofs.size > lod._DENSE_MAX_DOFS) == \
+            (8 if fine_n == 32 else 0)
+        manual = np.zeros((hier.coarse.n_interior, hier.fine.n_interior))
+        for node in hier.coarse.interior_vertices:
+            row = manual[hier.coarse.interior_index[node]]
+            for element in np.sort(node_star(hier.coarse, node)):
+                row += element_contribution(solver, int(node), int(element))
+        for threads in (1, 2):
+            matrix = assemble_corrector_set(hier, ops, interp, order=order,
+                                            threads=threads).matrix
+            assert matrix.has_canonical_format and np.all(matrix.data != 0)
+            np.testing.assert_array_equal(matrix.toarray(), manual)
 
 
 def test_localized_truncation_decreases_with_order(problem):
