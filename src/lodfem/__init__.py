@@ -5,7 +5,7 @@ from .coefficient import CoefficientField, make_checkerboard, make_constant, \
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .fem import AssembledOperators, assemble_load, assemble_mass, \
     assemble_stiffness, build_operators, error_norms, pad_full, solve_reference
-from .interpolation import InterpolationOperator, build_interpolation
+from .interpolation import build_interpolation
 from .linalg import SolverFailure, spd_solve
 from .lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set, \
     build_multiscale_space, measure_corrector_decay, solve_multiscale

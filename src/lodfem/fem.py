@@ -82,8 +82,9 @@ def assemble_mass(mesh, interior=True):
     return _assemble(mesh, local, interior)
 
 
-def assemble_load(mesh, f, interior=True):
-    """Load vector int f*l_i via the 3-point edge-midpoint rule per element."""
+def assemble_load(mesh, f):
+    """Load vector int f*l_i at the interior dofs via the 3-point
+    edge-midpoint rule per element."""
     v = mesh.vertices[mesh.triangles]
     m01 = 0.5 * (v[:, 0] + v[:, 1])
     m12 = 0.5 * (v[:, 1] + v[:, 2])
@@ -96,7 +97,7 @@ def assemble_load(mesh, f, interior=True):
     contrib = np.stack([w * (f01 + f20), w * (f01 + f12), w * (f12 + f20)], axis=1)
     out = np.zeros(mesh.n_vertices)
     np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
-    return out[mesh.interior_vertices] if interior else out
+    return out[mesh.interior_vertices]
 
 
 def apply_subset_stiffness(mesh, coeff, elements, vec_full):
@@ -150,9 +151,12 @@ def build_operators(mesh, coeff, f):
     )
 
 
-def solve_reference(ops, tol=1e-10):
-    """Galerkin solution on the operators' mesh (interior dof vector)."""
-    return spd_solve(ops.stiffness_coeff, ops.load, tol)
+def solve_reference(mesh, ops, tol=1e-10):
+    """Galerkin solution on `mesh`, the operators' mesh (interior dof
+    vector), its system permuted into the mesh's elimination order."""
+    order = mesh.elimination_order
+    A = ops.stiffness_coeff[order][:, order]
+    return spd_solve(A, ops.load[order], tol)[np.argsort(order)]
 
 
 def pad_full(mesh, vec_interior):

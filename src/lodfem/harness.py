@@ -199,7 +199,7 @@ def _sweep(cfg, coarse_list, level_list):
     """
     _validated(cfg)
     fine, ops = _problem(cfg)
-    u_ref = fem.solve_reference(ops, cfg.tol)
+    u_ref = fem.solve_reference(fine, ops, cfg.tol)
 
     report = ErrorReport()
     for coarse_n in sorted(coarse_list):

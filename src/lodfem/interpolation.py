@@ -14,20 +14,10 @@ vanish outside the node's star, which is what makes constrained corrector
 problems local.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sparse
 
 from . import fem
-
-
-@dataclass(eq=False)
-class InterpolationOperator:
-    # coarse interior nodes x all fine vertices, one row layout about every
-    # node: the patch solver reads its constraint values here by rank; the
-    # columns of the fine interior dofs are the constraint on them
-    matrix_full: sparse.csr_matrix
 
 
 def _gradient_operators(mesh):
@@ -42,7 +32,10 @@ def _gradient_operators(mesh):
 
 
 def build_interpolation(hierarchy):
-    """Assemble the quasi-interpolation matrix for a mesh hierarchy."""
+    """The quasi-interpolation matrix of a mesh hierarchy, CSR, coarse
+    interior nodes x all fine vertices, with one row layout about every
+    node: the patch solver reads its constraint values here by rank, and
+    the columns of the fine interior dofs are the constraint on them."""
     fine = hierarchy.fine
     coarse = hierarchy.coarse
     H = coarse.mesh_size
@@ -65,6 +58,6 @@ def build_interpolation(hierarchy):
         raise RuntimeError("nonpositive interpolation normalization")
 
     scale = sparse.diags(1.0 / denominators)
-    matrix_full = (scale @ numerator).tocsr()
-    matrix_full.eliminate_zeros()
-    return InterpolationOperator(matrix_full=matrix_full)
+    matrix = (scale @ numerator).tocsr()
+    matrix.eliminate_zeros()
+    return matrix

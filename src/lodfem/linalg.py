@@ -22,10 +22,12 @@ system into that order.  A stack of small dense SPD systems, A of shape
 (P, n, n) with C of shape (P, m, n), is the batched case: LAPACK Cholesky
 factors each A and each dense S, Y = A^-1 C' is kept, and every step works
 on the whole stack at once.  An unconstrained solve Ax = b is the case of C
-with zero rows (m = 0), in which A need not be symmetric: SuperLU takes its
-symmetric mode when A equals its transpose bit for bit (as the fine
-stiffness does), and its default pivoted ordering otherwise (as for the
-Petrov-Galerkin matrix).  Right-hand sides are dense and worked on whole.
+with zero rows (m = 0), in which K is A and need not be symmetric: A that
+equals its transpose bit for bit (as the fine stiffness does) is factorized
+as the KKT matrix is, in the order given with diagonal pivots, so the
+reference solve hands it over in the elimination order; any other A (the
+Galerkin and Petrov-Galerkin coarse matrices) takes SuperLU's default
+pivoted ordering.  Right-hand sides are dense and worked on whole.
 The kernel polishes with iterative refinement; one per-column acceptance
 test decides both which columns are refined and whether the solve
 succeeds.  There is one failure type: a factorization that fails, or a
@@ -58,9 +60,11 @@ class SolverFailure(RuntimeError):
 def spd_solve(A, b, tol=1e-10):
     """Solve Ax = b for square A, SPD or not symmetric, to a relative residual.
 
-    The unconstrained case of SaddleFactorization (m = 0); deterministic for
-    fixed inputs.  Raises SolverFailure if the factorization fails or the
-    residual target is missed.
+    The unconstrained case of SaddleFactorization (m = 0): a bit-symmetric A
+    is factorized in the order given, any other A (the Galerkin and
+    Petrov-Galerkin coarse matrices) with SuperLU's pivoted ordering;
+    deterministic for fixed inputs.  Raises SolverFailure if the
+    factorization fails or the residual target is missed.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
@@ -76,7 +80,7 @@ def _cholesky(A):
     (P, n, n); SolverFailure naming the first that is not positive
     definite.  Stored transposed, each factor's transpose is the Fortran
     order that dpotrs takes without a copy."""
-    L = np.empty_like(A)
+    L = np.empty(A.shape)
     for i in range(A.shape[0]):
         c, info = dpotrf(A[i], lower=1, clean=0)
         L[i] = c.T
@@ -142,13 +146,15 @@ class SaddleFactorization:
         self.lead = A.shape[:-2]  # (P,) for a stack, () otherwise
         if self.lead:
             self.A, self.C, self.Ct = A, C, C.transpose(0, 2, 1)
-            self._chol = _cholesky(A)
+            # A is symmetric, so its transpose is A in the Fortran order
+            # that dpotrf takes without a copy; S = C Y is not, bit for bit
+            self._chol = _cholesky(A.transpose(0, 2, 1))
             self._Y = _cho_solve(self._chol, self.Ct)
             self._schur = _cholesky(self.C @ self._Y)
             return
-        self.K = _kkt(A, C) if self.m else A.tocsr()
+        self.K = _kkt(A, C)
         try:
-            if self.m:
+            if self.m or (self.K != self.K.T).nnz == 0:
                 # K in the order given, diagonal pivots only: A's first,
                 # then the constraints'.  One column per panel: with
                 # SuperLU's default of 8 the benchmark's global and
@@ -158,12 +164,8 @@ class SaddleFactorization:
                 lu = spla.splu(self.K, permc_spec="NATURAL",
                                diag_pivot_thresh=0, panel_size=1,
                                options=dict(SymmetricMode=True))
-            elif (self.K != self.K.T).nnz == 0:
-                lu = spla.splu(sparse.csc_matrix(self.K),
-                               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                               options=dict(SymmetricMode=True))
             else:
-                lu = spla.splu(sparse.csc_matrix(self.K))
+                lu = spla.splu(self.K)
         except RuntimeError as exc:
             raise SolverFailure(f"factorization failed: {exc}") from exc
         self._solve_K = lu.solve

@@ -19,14 +19,14 @@ indices), and the unit-coefficient right-hand side of each child element:
 its element stiffness (fem.element_stiffness) times the coarse hats at its
 three vertices.  Every member lists its dofs in the template's order, moved
 by its lattice offset.  A member's values of both blocks are read from CSR
-data, of the fine stiffness and of interp.matrix_full, at the template's
-ranks: where each template entry sits in its row, which is the same in
-every member (checked against the member's column indices; a mismatch is a
-RuntimeError).  The constraint rows are read from matrix_full because its
-columns are all fine vertices, so every row has one layout about its node;
-restricted to the fine interior dofs, the row layouts would change near the
-boundary.  A member's right-hand side is the template's weighted by the
-coefficient on its children.  Each patch is solved once, in stacks of one
+data, of the fine stiffness and of the quasi-interpolation matrix, at the
+template's ranks: where each template entry sits in its row, which is the
+same in every member (checked against the member's column indices; a
+mismatch is a RuntimeError).  The constraint rows are read from that matrix
+because its columns are all fine vertices, so every row has one layout about
+its node; restricted to the fine interior dofs, the row layouts would change
+near the boundary.  A member's right-hand side is the template's weighted by
+the coefficient on its children.  Each patch is solved once, in stacks of one
 class: classes of at most _DENSE_MAX_DOFS dofs as dense stacks of up to
 _STACK_BYTES of stiffness, Cholesky for each patch and its Schur
 complement, larger classes in stacks of up to _STACK_BYTES of gathered
@@ -98,7 +98,7 @@ def _kernel_projection(hierarchy, ops, interp, p, tol, where):
     order = fine.elimination_order
     A = ops.stiffness_coeff[order][:, order]
     A.sort_indices()
-    C = interp.matrix_full[:, fine.interior_vertices[order]]
+    C = interp[:, fine.interior_vertices[order]]
     C.sort_indices()
     p = p[order]
     try:
@@ -172,7 +172,7 @@ class _PatchTemplate:
     rows: np.ndarray       # (m,) coarse interior dofs of the nonzero constraint rows
     nodes: np.ndarray      # (k,) coarse interior dofs of the element, ascending
     A: _Pattern            # (n, n) patch stiffness, ranks in the fine stiffness
-    C: _Pattern            # (m, n) constraint block, ranks in interp.matrix_full
+    C: _Pattern            # (m, n) constraint block, ranks in interp
     # Right-hand side at unit coefficient: for each (child element, interior
     # child vertex) pair, its child, its patch position and its k values.
     rhs_child: np.ndarray  # (q,)
@@ -222,7 +222,7 @@ class _PatchSolver:
         _, A = _Pattern.of(self.stiffness, dofs, local[fine.interior_vertices],
                            dofs.size)
         # rows with no entry in the patch constrain nothing
-        rows, C = _Pattern.of(self.interp.matrix_full,
+        rows, C = _Pattern.of(self.interp,
                               coarse.interior_index[patch.active_coarse_nodes],
                               local, dofs.size)
         # each child's unit-coefficient stiffness applied to the hats at its
@@ -252,12 +252,12 @@ class _PatchSolver:
         """The members' (dofs, rows, nodes, a, c, rhs): their place, the
         values of the template's A and C patterns, and the right-hand sides
         (P, n, k).  A member's values are read at the template's ranks in
-        its rows of the fine stiffness and of interp.matrix_full, and its
+        its rows of the fine stiffness and of interp, and its
         columns there must be the template's, translated."""
         t, members = stack
         dofs, rows, nodes = self.place(stack)
         a = t.A.read(self.stiffness, dofs, dofs[:, t.A.indices], "stiffness")
-        c = t.C.read(self.interp.matrix_full, rows,
+        c = t.C.read(self.interp, rows,
                      self.hierarchy.fine.interior_vertices[dofs[:, t.C.indices]],
                      "constraint")
         weights = self.coeff[self.hierarchy.children[members]][:, t.rhs_child]

@@ -174,18 +174,20 @@ def interpolation_row(hierarchy, coarse_vertex):
 
 def interior_interpolation(hierarchy, op):
     """The quasi-interpolation on fine interior dof vectors: the columns of
-    op.matrix_full at the fine interior vertices, as CSR."""
-    return op.matrix_full[:, hierarchy.fine.interior_vertices].tocsr()
+    the quasi-interpolation matrix op at the fine interior vertices, as
+    CSR."""
+    return op[:, hierarchy.fine.interior_vertices].tocsr()
 
 
 def interpolation_denominators(hierarchy, op):
-    """The normalization that divides each row of op.matrix_full: the
-    row's unscaled H1-weighted pairing with its hat, assembled densely with
-    plane-fit gradients, over the row, at the row's largest entry."""
+    """The normalization that divides each row of the quasi-interpolation
+    matrix op: the row's unscaled H1-weighted pairing with its hat,
+    assembled densely with plane-fit gradients, over the row, at the row's
+    largest entry."""
     H = hierarchy.coarse.mesh_size
     pairing = dense_mass(hierarchy.fine) + (H * H) * dense_stiffness(hierarchy.fine)
     numerator = hierarchy.prolongation.T @ pairing
-    full = op.matrix_full.toarray()
+    full = op.toarray()
     at = np.abs(full).argmax(axis=1)
     rows = np.arange(full.shape[0])
     return numerator[rows, at] / full[rows, at]
@@ -274,8 +276,8 @@ def diagonal_orders(cfg, diagonal):
     """Observed H1 orders between consecutive (coarse size, patch order)
     pairs of `diagonal`, each row solved alone against the config's fine
     reference, as ErrorReport.fill_orders computes them at one order."""
-    _, ops = harness._problem(cfg)
-    u_ref = fem.solve_reference(ops, cfg.tol)
+    fine, ops = harness._problem(cfg)
+    u_ref = fem.solve_reference(fine, ops, cfg.tol)
     errors = []
     for coarse_n, order in diagonal:
         hier, interp = harness._hierarchy(cfg, coarse_n)
@@ -347,8 +349,8 @@ def measure_constants(hierarchy, op, trials, seed=0):
     approximation = 0.0
     for v in samples:
         cvals = np.zeros(coarse.n_vertices)
-        cvals[coarse.interior_vertices] = op.matrix_full @ v
-        residual = v - hierarchy.prolongation @ (op.matrix_full @ v)
+        cvals[coarse.interior_vertices] = op @ v
+        residual = v - hierarchy.prolongation @ (op @ v)
         for k in range(coarse.n_triangles):
             h1 = np.sqrt(fem.subset_h1_sq(fine, neighborhoods[k], v))
             if h1 == 0.0:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lodfem import build_uniform_mesh, error_norms, make_constant, \
+from lodfem import build_uniform_mesh, error_norms, linalg, make_constant, \
     make_checkerboard, pad_full, solve_reference
 from lodfem.fem import apply_subset_stiffness, assemble_load, assemble_mass, \
     assemble_stiffness, build_operators, subset_h1_sq, subset_l2_sq
@@ -89,25 +89,25 @@ def test_load_zero():
 
 def test_load_constant_gives_hat_volumes():
     mesh = build_uniform_mesh(4)
-    load = assemble_load(mesh, lambda x, y: np.ones_like(x), interior=False)
+    load = assemble_load(mesh, lambda x, y: np.ones_like(x))
     expected = np.array([
         mesh.element_areas[node_star(mesh, v)].sum() / 3.0
-        for v in range(mesh.n_vertices)])
+        for v in mesh.interior_vertices])
     np.testing.assert_allclose(load, expected, atol=1e-14)
 
 
 def test_load_linear_matches_degree5_oracle():
-    mesh = build_uniform_mesh(2)
-    load = assemble_load(mesh, lambda x, y: x, interior=False)
-    np.testing.assert_allclose(load, oracles.load_7pt(mesh, lambda x, y: x),
-                               atol=1e-14)
+    mesh = build_uniform_mesh(4)
+    load = assemble_load(mesh, lambda x, y: x)
+    expected = oracles.load_7pt(mesh, lambda x, y: x)[mesh.interior_vertices]
+    np.testing.assert_allclose(load, expected, atol=1e-14)
 
 
 def test_solve_reference_zero_rhs():
     mesh = build_uniform_mesh(8)
     ops = build_operators(mesh, make_constant(1.0, mesh),
                           lambda x, y: np.zeros_like(x))
-    assert np.all(solve_reference(ops) == 0)
+    assert np.all(solve_reference(mesh, ops) == 0)
 
 
 def test_solve_reference_manufactured_orders():
@@ -119,7 +119,7 @@ def test_solve_reference_manufactured_orders():
     for n in (8, 16, 32):
         mesh = build_uniform_mesh(n)
         ops = build_operators(mesh, make_constant(1.0, mesh), f)
-        sol = pad_full(mesh, solve_reference(ops))
+        sol = pad_full(mesh, solve_reference(mesh, ops))
         errs.append(oracles.error_vs_function(mesh, sol, u, gu))
     l2_orders = [np.log2(a[0] / b[0]) for a, b in zip(errs, errs[1:])]
     h1_orders = [np.log2(a[1] / b[1]) for a, b in zip(errs, errs[1:])]
@@ -132,7 +132,7 @@ def test_solve_reference_symmetric_under_swap():
     mesh = build_uniform_mesh(n)
     f = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
     ops = build_operators(mesh, make_constant(1.0, mesh), f)
-    sol = pad_full(mesh, solve_reference(ops))
+    sol = pad_full(mesh, solve_reference(mesh, ops))
     # vertex (i, j) swaps with (j, i)
     ij = np.arange(mesh.n_vertices)
     i, j = ij % (n + 1), ij // (n + 1)
@@ -140,11 +140,34 @@ def test_solve_reference_symmetric_under_swap():
     np.testing.assert_allclose(sol, sol[perm], atol=1e-10)
 
 
+def test_solve_reference_factorizes_in_the_elimination_order(monkeypatch):
+    """The reference solve hands SuperLU the stiffness in the mesh's
+    elimination order, to be factorized in that order (NATURAL)."""
+    mesh = build_uniform_mesh(8)
+    ops = build_operators(mesh, make_checkerboard(4, 100.0, 2, mesh),
+                          lambda x, y: x)
+    splu, calls = linalg.spla.splu, []
+
+    def recorded(matrix, **options):
+        calls.append((matrix.copy(), options))
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(linalg.spla, "splu", recorded)
+    sol = solve_reference(mesh, ops)
+    order = mesh.elimination_order
+    assert not np.array_equal(order, np.arange(order.size))
+    (matrix, options), = calls
+    assert options["permc_spec"] == "NATURAL"
+    assert (matrix != ops.stiffness_coeff[order][:, order]).nnz == 0
+    residual = ops.stiffness_coeff @ sol - ops.load
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(ops.load)
+
+
 def test_galerkin_orthogonality(rng):
     mesh = build_uniform_mesh(8)
     coeff = make_checkerboard(4, 100.0, 2, mesh)
     ops = build_operators(mesh, coeff, lambda x, y: x)
-    sol = solve_reference(ops, tol=1e-12)
+    sol = solve_reference(mesh, ops, tol=1e-12)
     residual = ops.stiffness_coeff @ sol - ops.load
     for _ in range(20):
         v = rng.standard_normal(mesh.n_interior)

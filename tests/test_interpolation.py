@@ -31,19 +31,19 @@ def test_rows_supported_in_node_stars(small_hierarchy, op):
         star_fine = np.unique(
             hier.fine.triangles[hier.children[star].ravel()])
         allowed = set(star_fine)
-        support = op.matrix_full.getrow(row_idx).indices
+        support = op.getrow(row_idx).indices
         assert set(support) <= allowed
 
 
 @pytest.mark.parametrize("fine_n, coarse_n",
                          [(16, 4), (64, 8), (64, 16), (128, 32)])
 def test_full_rows_share_one_layout_about_their_node(fine_n, coarse_n):
-    """Every row of matrix_full stores its columns at the same lattice
+    """Every row of the matrix stores its columns at the same lattice
     offsets from its node's fine vertex, in the same order, so that a
     patch template's ranks in its rows hold in every translate."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
                             int(np.log2(fine_n // coarse_n)))
-    full = build_interpolation(hier).matrix_full
+    full = build_interpolation(hier)
     widths = np.diff(full.indptr)
     assert np.all(widths == widths[0])
     nodes = hier.coarse.vertices[hier.coarse.interior_vertices]
@@ -57,7 +57,7 @@ def test_constant_function_value(small_hierarchy, op):
     """Full-dof evaluation of v = 1: value is hat volume over normalization."""
     hier = small_hierarchy
     ones = np.ones(hier.fine.n_vertices)
-    values = op.matrix_full @ ones
+    values = op @ ones
     P = hier.prolongation
     from lodfem.fem import assemble_mass
     hat_volumes = P.T @ (assemble_mass(hier.fine, interior=False)
@@ -76,7 +76,7 @@ def test_constant_value_matches_star_geometry_oracle():
     for nc in (4, 8, 16):
         hier = refine_hierarchy(build_uniform_mesh(nc), 2)
         op = build_interpolation(hier)
-        values = op.matrix_full @ np.ones(hier.fine.n_vertices)
+        values = op @ np.ones(hier.fine.n_vertices)
         H = hier.coarse.mesh_size
         for row_idx, node in enumerate(hier.coarse.interior_vertices):
             star = node_star(hier.coarse, int(node))
@@ -98,7 +98,7 @@ def test_matrix_rows_match_quadrature_oracle():
     denominators = interpolation_denominators(hier, op)
     for row_idx, node in enumerate(hier.coarse.interior_vertices):
         row_oracle, denom_oracle = oracles.interpolation_row(hier, int(node))
-        np.testing.assert_allclose(op.matrix_full.getrow(row_idx).toarray().ravel(),
+        np.testing.assert_allclose(op.getrow(row_idx).toarray().ravel(),
                                    row_oracle, atol=1e-12)
         assert denominators[row_idx] == pytest.approx(denom_oracle, rel=1e-12)
 
@@ -162,7 +162,7 @@ def test_approximation_order_for_fixed_smooth_function():
         hier = refine_hierarchy(build_uniform_mesh(nc), k)
         op = build_interpolation(hier)
         v = f(hier.fine.vertices)
-        residual = v - hier.prolongation @ (op.matrix_full @ v)
+        residual = v - hier.prolongation @ (op @ v)
         from lodfem.fem import subset_l2_sq
         worst.append(max(
             np.sqrt(subset_l2_sq(hier.fine, hier.children[kk], residual))

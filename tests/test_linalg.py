@@ -254,11 +254,11 @@ def test_solve_in_column_blocks(rng):
     ids=["True", "False", "constrained-csc", "constrained-csr"])
 def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric,
                                          constrained):
-    """Without constraints, a bit-symmetric A is factorized in SuperLU's
-    symmetric mode and any other A with the default pivoted ordering.  With
-    constraints, CSC or CSR, SuperLU factorizes the (n + m)^2 KKT matrix in
+    """A bit-symmetric A without constraints and the (n + m)^2 KKT matrix
+    with them, CSC or CSR, share one rule: SuperLU factorizes the matrix in
     the order it is built (NATURAL), in the symmetric mode, one column per
-    panel.  Each solves to the tolerance."""
+    panel.  Any other A takes the default pivoted ordering.  Each solves to
+    the tolerance."""
     A = random_spd(rng, 12)
     if not symmetric:
         A[0, 1] += 1e-3
@@ -277,12 +277,9 @@ def test_superlu_mode_follows_the_matrix(rng, monkeypatch, symmetric,
     expected = np.linalg.solve(kkt, np.concatenate([b, np.zeros(C.shape[0])]))
     np.testing.assert_allclose(x, expected[:12], rtol=1e-10,
                                atol=1e-12 * np.abs(expected).max())
-    if constrained:
+    if symmetric:
         options = dict(permc_spec="NATURAL", diag_pivot_thresh=0,
                        panel_size=1, options=dict(SymmetricMode=True))
-    elif symmetric:
-        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                       options=dict(SymmetricMode=True))
     else:
         options = {}
     assert modes == [(kkt.shape, options)]
@@ -299,20 +296,25 @@ def test_saddle_deterministic(rng):
 
 @given(n=st.integers(1, 12), data=st.data())
 def test_solve_matches_dense_oracle_or_fails(n, data):
-    """Constrained (SPD A) and unconstrained (nonsymmetric A) solves under a
-    diagonal scaling of up to 1e6: each column meets the tolerance against a
-    dense KKT oracle, or the solve raises SolverFailure; never a NaN."""
+    """Constrained (SPD A) and unconstrained (SPD or nonsymmetric A) solves
+    under a diagonal scaling of up to 1e6: each column meets the tolerance
+    against a dense KKT oracle, or the solve raises SolverFailure; never a
+    NaN."""
     m = data.draw(st.integers(0, n // 2), label="m")
+    spd = m > 0 or data.draw(st.booleans(), label="SPD A")
     k = data.draw(st.integers(1, 3), label="columns")
     scale = data.draw(st.floats(0.0, 6.0), label="log10 scaling")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
                                           label="seed"))
-    if m == 0:
-        A = rng.standard_normal((n, n)) + rng.uniform(0, n) * np.eye(n)
-    else:
+    if spd:
         A = random_spd(rng, n)
+    else:
+        A = rng.standard_normal((n, n)) + rng.uniform(0, n) * np.eye(n)
     d = 10.0 ** (scale * rng.random(n))
     A = d[:, None] * A * d[None, :]
+    if spd:
+        # bit-symmetric, so that m = 0 takes SuperLU's NATURAL order
+        A = np.triu(A) + np.triu(A, 1).T
     C = rng.standard_normal((m, n))
     b = rng.standard_normal((n, k))
     K = np.block([[A, C.T], [C, np.zeros((m, m))]])

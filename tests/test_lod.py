@@ -426,7 +426,7 @@ def test_petrov_galerkin_with_global_correctors(problem):
     residual = space_pg.gram @ c_pg - space_pg.load
     assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(space_pg.load)
     # both variants approximate the same fine solution to first order
-    u_ref = solve_reference(ops)
+    u_ref = solve_reference(hier.fine, ops)
     _, u_g = solve_multiscale(space)
     err_pg = error_norms(u_pg, u_ref, ops)[1]
     err_g = error_norms(u_g, u_ref, ops)[1]
@@ -439,7 +439,7 @@ def test_multiscale_convergence_with_global_correctors():
     fine = build_uniform_mesh(32)
     coeff = make_checkerboard(8, 100.0, 1, fine)
     ops = build_operators(fine, coeff, lambda x, y: x)
-    u_ref = solve_reference(ops)
+    u_ref = solve_reference(fine, ops)
     errors = []
     for nc in (4, 8):
         hier = refine_hierarchy(build_uniform_mesh(nc),
@@ -630,10 +630,10 @@ def test_rank_gather_equals_entry_lookup(fine_n, coarse_n, order):
 
 @pytest.mark.parametrize("block", ["stiffness", "constraint"])
 def test_row_layout_unlike_the_template_is_rejected(block):
-    """The same fine stiffness or interp.matrix_full with one row's entries
-    stored in reverse, in a member's patch away from its template, fails the
-    gather of that member with RuntimeError; the canonical matrix gathers
-    it."""
+    """The same fine stiffness or quasi-interpolation matrix with one row's
+    entries stored in reverse, in a member's patch away from its template,
+    fails the gather of that member with RuntimeError; the canonical matrix
+    gathers it."""
     hier = refine_hierarchy(build_uniform_mesh(8), 1)
     ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
                           lambda x, y: x)
@@ -646,7 +646,7 @@ def test_row_layout_unlike_the_template_is_rejected(block):
     dofs, rows, _ = solver.place(stack)
     # the second member's first dof, or its first constraint row
     S, row = ((ops.stiffness_coeff, dofs[1, 0]) if block == "stiffness"
-              else (interp.matrix_full, rows[1, 0]))
+              else (interp, rows[1, 0]))
     indices, data = S.indices.copy(), S.data.copy()
     lo, hi = S.indptr[row], S.indptr[row + 1]
     indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
@@ -655,7 +655,7 @@ def test_row_layout_unlike_the_template_is_rejected(block):
     if block == "stiffness":
         ops = dataclasses.replace(ops, stiffness_coeff=reversed_row)
     else:
-        interp = dataclasses.replace(interp, matrix_full=reversed_row)
+        interp = reversed_row
     solver = lod._PatchSolver(hier, ops, interp, 1, 1e-10)
     stack = next(s for s in solver.stacks(seeds) if s[1].size >= 2)
     with pytest.raises(RuntimeError, match="differ from their template"):
@@ -795,7 +795,7 @@ def _global_row(fine_n, coarse_n, contrast, seed):
                           make_checkerboard(fine_n, contrast, seed, hier.fine),
                           lambda x, y: x)
     interp = build_interpolation(hier)
-    u_ref = solve_reference(ops)
+    u_ref = solve_reference(hier.fine, ops)
     row = harness._solve_level(ExperimentConfig(fine_n=fine_n), hier, ops,
                                interp, u_ref, 1, None)
     return hier, ops, interp, u_ref, row
