@@ -4,7 +4,8 @@ The diffusion coefficient is constant per element, so stiffness entries are
 exact; the load vector uses the 3-point edge-midpoint rule (exact for
 quadratic integrands).  Homogeneous Dirichlet data is imposed by dof
 elimination through the mesh's interior index map.  Assembly loops run in a
-fixed element order, so assembled values are bit-stable.
+fixed element order, so assembled values are bit-stable.  Error norms are
+exact P1 integrals summed element by element.
 """
 
 from dataclasses import dataclass
@@ -21,8 +22,6 @@ class AssembledOperators:
 
     coeff: object                       # CoefficientField or None (unit)
     stiffness_coeff: sparse.csr_matrix  # a(.,.) with the diffusion field
-    stiffness_plain: sparse.csr_matrix  # unit-coefficient stiffness
-    mass: sparse.csr_matrix
     load: np.ndarray
 
 
@@ -74,12 +73,12 @@ def assemble_stiffness(mesh, coeff=None, interior=True):
     return _assemble(mesh, element_stiffness(mesh, coeff), interior)
 
 
-def assemble_mass(mesh, interior=True):
-    """Consistent P1 mass matrix, exact (local block area/12 * (1 + delta))."""
+def assemble_mass(mesh):
+    """Consistent P1 mass matrix of all vertices (area/12 * (1 + delta))."""
     local = np.full((mesh.n_triangles, 3, 3), 1.0)
     local[:, np.arange(3), np.arange(3)] = 2.0
     local *= (mesh.element_areas / 12.0)[:, None, None]
-    return _assemble(mesh, local, interior)
+    return _assemble(mesh, local, False)
 
 
 def assemble_load(mesh, f):
@@ -106,6 +105,8 @@ def apply_subset_stiffness(mesh, coeff, elements, vec_full):
     Realizes the element-restricted bilinear form a_K(., .) without building
     the subset matrix.  `vec_full` is one vector (nv,) or a block (nv, k);
     each column of a block gives the same bits as its single-vector call.
+    No solver path calls it: it stays only as the tests' oracle and the
+    tracer's hook until ROADMAP item 1 lets it move to tests/oracles.py.
     """
     values = coefficient_values(mesh, coeff)[elements]
     gx, gy = mesh.element_gradients
@@ -130,25 +131,26 @@ def subset_l2_sq(mesh, elements, vec_full):
     return float((mesh.element_areas[elements] / 12.0 * (s * s + q)).sum())
 
 
-def subset_h1_sq(mesh, elements, vec_full):
-    """Exact int_E (v^2 + |grad v|^2) over an element subset."""
+def _gradient_sq(mesh, elements, vec_full):
+    """Exact int_e |grad v|^2 on each element e of `elements`."""
     gx, gy = mesh.element_gradients
     d = vec_full[mesh.triangles[elements]]
     dgx = (gx[elements] * d).sum(axis=1)
     dgy = (gy[elements] * d).sum(axis=1)
-    semi = float((mesh.element_areas[elements] * (dgx ** 2 + dgy ** 2)).sum())
+    return mesh.element_areas[elements] * (dgx ** 2 + dgy ** 2)
+
+
+def subset_h1_sq(mesh, elements, vec_full):
+    """Exact int_E (v^2 + |grad v|^2) over an element subset."""
+    semi = float(_gradient_sq(mesh, elements, vec_full).sum())
     return subset_l2_sq(mesh, elements, vec_full) + semi
 
 
 def build_operators(mesh, coeff, f):
-    """Assemble all interior-restricted operators for one problem."""
-    return AssembledOperators(
-        coeff=coeff,
-        stiffness_coeff=assemble_stiffness(mesh, coeff),
-        stiffness_plain=assemble_stiffness(mesh, None),
-        mass=assemble_mass(mesh),
-        load=assemble_load(mesh, f),
-    )
+    """Assemble the interior-restricted system of one problem."""
+    return AssembledOperators(coeff=coeff,
+                              stiffness_coeff=assemble_stiffness(mesh, coeff),
+                              load=assemble_load(mesh, f))
 
 
 def solve_reference(mesh, ops, tol=1e-10):
@@ -156,7 +158,9 @@ def solve_reference(mesh, ops, tol=1e-10):
     vector), its system permuted into the mesh's elimination order."""
     order = mesh.elimination_order
     A = ops.stiffness_coeff[order][:, order]
-    return spd_solve(A, ops.load[order], tol)[np.argsort(order)]
+    A.sort_indices()
+    # A is bit-symmetric, so its CSR arrays are its CSC arrays
+    return spd_solve(A.T, ops.load[order], tol)[np.argsort(order)]
 
 
 def pad_full(mesh, vec_interior):
@@ -166,15 +170,15 @@ def pad_full(mesh, vec_interior):
     return out
 
 
-def error_norms(u, v, ops):
-    """L2, full H1, and energy norms of u - v (interior dof vectors)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.shape != ops.load.shape:
+def error_norms(mesh, u, v, ops):
+    """L2, full H1, and energy norms of u - v (interior dof vectors on
+    `mesh`, the operators' mesh), summed element by element."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.shape != (mesh.n_interior,):
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape} on "
-                         f"{ops.load.shape[0]} dofs")
-    d = u - v
-    l2_sq = max(float(d @ (ops.mass @ d)), 0.0)
-    semi_sq = max(float(d @ (ops.stiffness_plain @ d)), 0.0)
-    energy_sq = max(float(d @ (ops.stiffness_coeff @ d)), 0.0)
-    return np.sqrt(l2_sq), np.sqrt(l2_sq + semi_sq), np.sqrt(energy_sq)
+                         f"{mesh.n_interior} dofs")
+    d = pad_full(mesh, u - v)
+    l2_sq = subset_l2_sq(mesh, slice(None), d)
+    grad_sq = _gradient_sq(mesh, slice(None), d)
+    energy_sq = (coefficient_values(mesh, ops.coeff) * grad_sq).sum()
+    return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq.sum()), np.sqrt(energy_sq)

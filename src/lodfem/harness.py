@@ -182,7 +182,7 @@ def _solve_level(cfg, hier, ops, interp, u_ref, level, order):
             count = 0 if order == 0 else int(np.count_nonzero(
                 coarse.interior_index[coarse.triangles] >= 0))
             _, u_ms = lod.solve_multiscale(space, cfg.tol)
-        return fem.error_norms(u_ms, u_ref, ops), count, u_ms
+        return fem.error_norms(hier.fine, u_ms, u_ref, ops), count, u_ms
     except lod.SolverFailure as exc:
         print(f"row coarse_n={coarse.cells_per_side} level={level} "
               f"failed: {exc}", file=sys.stderr)

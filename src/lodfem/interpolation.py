@@ -41,7 +41,7 @@ def build_interpolation(hierarchy):
     H = coarse.mesh_size
     P = hierarchy.prolongation  # (nv_fine, n_coarse_interior)
 
-    mass = fem.assemble_mass(fine, interior=False)
+    mass = fem.assemble_mass(fine)
     stiff = fem.assemble_stiffness(fine, None, interior=False)
     numerator = (P.T @ (mass + (H * H) * stiff)).tocsr()
 

@@ -130,14 +130,14 @@ class SaddleFactorization:
 
     Given sparse A (n, n) and C (m, n) with m > 0, SuperLU factorizes the
     KKT matrix K (see _kkt) once, and each application is one solve of
-    [r; q] for [x; mu]; with m = 0, K is A.  Given numpy stacks A (P, n, n)
-    and C (P, m, n), it factorizes P systems at once through their Schur
-    complements S = C A^-1 C', so each application is u = A^-1 r,
-    mu = S^-1 (C u - q), x = u - Y mu with Y = A^-1 C' kept, and it solves
-    right-hand sides (P, n) or (P, n, k).  The constraints must have full
-    row rank.  A factorization that fails (SuperLU rejects K, or A of a
-    stack or S is not positive definite) raises SolverFailure, as does a
-    solve that fails the test.
+    [r; q] for [x; mu]; with m = 0, K is A as CSC (A itself if CSC).  Given
+    numpy stacks A (P, n, n) and C (P, m, n), it factorizes P systems at
+    once through their Schur complements S = C A^-1 C', so each application
+    is u = A^-1 r, mu = S^-1 (C u - q), x = u - Y mu with Y = A^-1 C' kept,
+    and it solves right-hand sides (P, n) or (P, n, k).  The constraints
+    must have full row rank.  A factorization that fails (SuperLU rejects K,
+    or A of a stack or S is not positive definite) raises SolverFailure, as
+    does a solve that fails the test.
     """
 
     def __init__(self, A, C):
@@ -152,7 +152,7 @@ class SaddleFactorization:
             self._Y = _cho_solve(self._chol, self.Ct)
             self._schur = _cholesky(self.C @ self._Y)
             return
-        self.K = _kkt(A, C)
+        self.K = _kkt(A, C) if self.m else A.tocsc()
         try:
             if self.m or (self.K != self.K.T).nnz == 0:
                 # K in the order given, diagonal pivots only: A's first,

@@ -62,9 +62,9 @@ from .linalg import SaddleFactorization, SolverFailure, spd_solve
 from .mesh import _check_order, element_patch, patch_classes
 
 # Patches of up to this many fine dofs are solved as dense stacks, larger
-# ones by SuperLU.  On one core both take about 2.1 ms per patch at 290
-# dofs; the dense stack is 4.5x faster at 87 dofs and SuperLU 7x faster at
-# 1125.
+# ones by SuperLU.  On one core the two cross near 230 dofs, and SuperLU is
+# about 20% faster at 267-289 dofs; the limit stays at 300 until ROADMAP
+# item 3 re-measures it.
 _DENSE_MAX_DOFS = 300
 # Bytes per stack: of patch stiffness in a dense class, of gathered values
 # (see _PatchSolver.stacks) in a SuperLU class.  On patch-small, dense

@@ -179,7 +179,7 @@ def test_criterion_4_localization_saturation():
             build_multiscale_space(hier, ops, global_set))
         _, u_local = solve_multiscale(
             build_multiscale_space(hier, ops, local_set))
-        assert error_norms(u_local, u_global, ops)[2] <= 1e-8
+        assert error_norms(hier.fine, u_local, u_global, ops)[2] <= 1e-8
         assert time.perf_counter() - start < 120.0
 
 

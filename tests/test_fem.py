@@ -67,13 +67,13 @@ def test_stiffness_kernel_contains_constants():
 
 def test_mass_against_dense_oracle():
     mesh = build_uniform_mesh(2)
-    M = assemble_mass(mesh, interior=False).toarray()
+    M = assemble_mass(mesh).toarray()
     np.testing.assert_allclose(M, oracles.dense_mass(mesh), atol=1e-13)
 
 
 def test_mass_row_sums_are_hat_integrals():
     mesh = build_uniform_mesh(5)
-    M = assemble_mass(mesh, interior=False)
+    M = assemble_mass(mesh)
     row_sums = np.asarray(M @ np.ones(mesh.n_vertices))
     hat_integrals = np.array([
         mesh.element_areas[node_star(mesh, v)].sum() / 3.0
@@ -179,11 +179,30 @@ def test_error_norms_zero_and_symmetry(rng):
     ops = build_operators(mesh, make_constant(2.0, mesh), lambda x, y: x)
     u = rng.standard_normal(mesh.n_interior)
     v = rng.standard_normal(mesh.n_interior)
-    assert error_norms(u, u, ops) == (0.0, 0.0, 0.0)
-    np.testing.assert_allclose(error_norms(u, v, ops), error_norms(v, u, ops),
+    assert error_norms(mesh, u, u, ops) == (0.0, 0.0, 0.0)
+    np.testing.assert_allclose(error_norms(mesh, u, v, ops),
+                               error_norms(mesh, v, u, ops),
                                rtol=1e-14)
     with pytest.raises(ValueError, match="shape mismatch"):
-        error_norms(u, v[:-1], ops)
+        error_norms(mesh, u, v[:-1], ops)
+
+
+def test_error_norms_match_dense_quadratic_forms(rng):
+    """The element sums equal the quadratic forms of the dense mass and
+    stiffness oracles, plain and with the coefficient, on the interior."""
+    mesh = build_uniform_mesh(6)
+    coeff = make_checkerboard(6, 1e4, 3, mesh)
+    ops = build_operators(mesh, coeff, lambda x, y: x)
+    u = rng.standard_normal(mesh.n_interior)
+    v = rng.standard_normal(mesh.n_interior)
+    d = u - v
+    idx = np.ix_(mesh.interior_vertices, mesh.interior_vertices)
+    l2_sq = d @ oracles.dense_mass(mesh)[idx] @ d
+    semi_sq = d @ oracles.dense_stiffness(mesh)[idx] @ d
+    energy_sq = d @ oracles.dense_stiffness(mesh, coeff.values)[idx] @ d
+    np.testing.assert_allclose(
+        error_norms(mesh, u, v, ops),
+        np.sqrt([l2_sq, l2_sq + semi_sq, energy_sq]), rtol=1e-12)
 
 
 def test_energy_of_linear_function_exact():
@@ -191,7 +210,7 @@ def test_energy_of_linear_function_exact():
     d = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1]  # grad (1, 2)
     S = assemble_stiffness(mesh, None, interior=False)
     assert d @ (S @ d) == pytest.approx(5.0, rel=1e-12)  # |grad|^2 * area
-    M = assemble_mass(mesh, interior=False)
+    M = assemble_mass(mesh)
     # int (x + 2y)^2 over the unit square = 1/3 + 1 + 4/3
     assert d @ (M @ d) == pytest.approx(1 / 3 + 1.0 + 4 / 3, rel=1e-12)
 

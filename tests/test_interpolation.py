@@ -60,7 +60,7 @@ def test_constant_function_value(small_hierarchy, op):
     values = op @ ones
     P = hier.prolongation
     from lodfem.fem import assemble_mass
-    hat_volumes = P.T @ (assemble_mass(hier.fine, interior=False)
+    hat_volumes = P.T @ (assemble_mass(hier.fine)
                          @ np.ones(hier.fine.n_vertices))
     np.testing.assert_allclose(values,
                                hat_volumes / interpolation_denominators(hier, op),

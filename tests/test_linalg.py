@@ -72,6 +72,17 @@ def test_saddle_no_constraints_reduces_to_spd(rng):
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
 
+def test_saddle_no_constraints_takes_a_csc_matrix_as_k(rng):
+    """With zero constraint rows a CSC A is the factorized matrix itself:
+    no KKT copy is made."""
+    A = sparse.csc_matrix(random_spd(rng, 8))
+    factorization = SaddleFactorization(A, sparse.csr_matrix((0, 8)))
+    assert factorization.K is A
+    b = rng.standard_normal(8)
+    np.testing.assert_allclose(factorization.solve(b)[0],
+                               np.linalg.solve(A.toarray(), b), atol=1e-10)
+
+
 def test_saddle_projection_hand_case():
     x, mu = SaddleFactorization(csr(np.eye(2)), csr([[1.0, 1.0]])).solve(
         np.array([1.0, 0.0]))
