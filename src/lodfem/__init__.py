@@ -3,8 +3,8 @@
 from .coefficient import CoefficientField, make_checkerboard, make_constant, \
     make_periodic
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .fem import AssembledOperators, assemble_load, assemble_mass, \
-    assemble_stiffness, build_operators, error_norms, pad_full, solve_reference
+from .fem import AssembledOperators, assemble, assemble_load, \
+    build_operators, error_norms, pad_full, solve_reference
 from .interpolation import build_interpolation
 from .linalg import SolverFailure, spd_solve
 from .lod import CorrectorSet, MultiscaleSpace, assemble_corrector_set, \

@@ -2,7 +2,8 @@
 
 Two generator families cover the regimes the multiscale method targets:
 a smooth separable oscillation with period parameter epsilon, and a seeded
-log-uniform checkerboard of any contrast >= 1 (sweeps complete up to 1e10).
+log-uniform checkerboard of any contrast >= 1 (the solves limit it: the
+fine 64 desk sweep completes up to 3e10, fine 128 fails at 1e10).
 Fields are immutable and bit-reproducible from their generator parameters
 (the checkerboard draws its block values from a counter-based Philox
 generator keyed by the seed, so values do not depend on evaluation order or

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 RHS_NAMES = ("x", "one", "manufactured", "zero")
 MODES = ("global", "localized", "petrov")
+COEFF_KINDS = ("constant", "periodic", "checkerboard")
 TIMING_MODES = ("wall", "off")
 
 
@@ -74,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.rhs not in RHS_NAMES:
             raise ConfigError(f"rhs must be one of {RHS_NAMES}, got {self.rhs!r}")
+        if self.coeff_kind not in COEFF_KINDS:
+            raise ConfigError(f"coeff_kind must be one of {COEFF_KINDS}")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.threads < 1:

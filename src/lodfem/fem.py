@@ -1,11 +1,12 @@
 """P1 finite element assembly, reference solves, and error norms.
 
-The diffusion coefficient is constant per element, so stiffness entries are
-exact; the load vector uses the 3-point edge-midpoint rule (exact for
-quadratic integrands).  Homogeneous Dirichlet data is imposed by dof
-elimination through the mesh's interior index map.  Assembly loops run in a
-fixed element order, so assembled values are bit-stable.  Error norms are
-exact P1 integrals summed element by element.
+Every fine matrix is one `assemble` of element matrices (`element_stiffness`,
+`element_mass` or their sum).  The diffusion coefficient is constant per
+element, so stiffness entries are exact; the load vector uses the 3-point
+edge-midpoint rule (exact for quadratic integrands).  Homogeneous Dirichlet
+data is imposed by dof elimination through the mesh's interior index map.
+Assembly runs in a fixed element order, so assembled values are bit-stable.
+Error norms are exact P1 integrals summed element by element.
 """
 
 from dataclasses import dataclass
@@ -37,9 +38,9 @@ def coefficient_values(mesh, coeff):
     return values
 
 
-def _assemble(mesh, local, interior):
-    """Global matrix summed from the element matrices `local` (E, 3, 3),
-    restricted to the interior dofs if `interior`."""
+def assemble(mesh, local, interior=True):
+    """Global matrix summed from the element matrices `local` (E, 3, 3), of
+    the interior dofs (default) or, with interior=False, of all vertices."""
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
@@ -64,21 +65,12 @@ def element_stiffness(mesh, coeff=None, elements=slice(None)):
     return local
 
 
-def assemble_stiffness(mesh, coeff=None, interior=True):
-    """Stiffness matrix: entry (i,j) = sum_e A_e * int_e grad(l_i).grad(l_j).
-
-    With interior=True (default) Dirichlet rows and columns are removed via
-    the mesh dof map; interior=False returns the full singular matrix.
-    """
-    return _assemble(mesh, element_stiffness(mesh, coeff), interior)
-
-
-def assemble_mass(mesh):
-    """Consistent P1 mass matrix of all vertices (area/12 * (1 + delta))."""
+def element_mass(mesh):
+    """Consistent P1 element mass matrices (E, 3, 3): area/12 * (1 + delta)."""
     local = np.full((mesh.n_triangles, 3, 3), 1.0)
     local[:, np.arange(3), np.arange(3)] = 2.0
     local *= (mesh.element_areas / 12.0)[:, None, None]
-    return _assemble(mesh, local, False)
+    return local
 
 
 def assemble_load(mesh, f):
@@ -148,9 +140,8 @@ def subset_h1_sq(mesh, elements, vec_full):
 
 def build_operators(mesh, coeff, f):
     """Assemble the interior-restricted system of one problem."""
-    return AssembledOperators(coeff=coeff,
-                              stiffness_coeff=assemble_stiffness(mesh, coeff),
-                              load=assemble_load(mesh, f))
+    stiffness = assemble(mesh, element_stiffness(mesh, coeff))
+    return AssembledOperators(coeff, stiffness, assemble_load(mesh, f))
 
 
 def solve_reference(mesh, ops, tol=1e-10):

@@ -39,8 +39,8 @@ def rhs_function(name):
 
 
 def build_coefficient(cfg, fine):
-    """The config's coefficient field; parameters a generator rejects are a
-    ConfigError."""
+    """The coefficient field of a validated config (its kind is one of
+    COEFF_KINDS); parameters a generator rejects are a ConfigError."""
     kind = cfg.coeff_kind
     try:
         if kind == "constant":
@@ -48,13 +48,10 @@ def build_coefficient(cfg, fine):
         if kind == "periodic":
             return coefficient.make_periodic(cfg.coeff_epsilon,
                                              cfg.coeff_amplitude, fine)
-        if kind == "checkerboard":
-            return coefficient.make_checkerboard(cfg.coeff_cell,
-                                                 cfg.coeff_contrast, cfg.seed,
-                                                 fine)
+        return coefficient.make_checkerboard(cfg.coeff_cell,
+                                             cfg.coeff_contrast, cfg.seed, fine)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown coefficient kind: {kind!r}")
 
 
 def _line(*values, sep=","):

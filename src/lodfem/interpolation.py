@@ -6,29 +6,18 @@ with the coarse hat by a matching normalization:
     value(a) = ( int v*hat_a + H^2 * int grad(v).grad(hat_a) )
              / ( int hat_a   + H^2 * int |grad(hat_a)| )
 
-with H the coarse mesh size (element diameter).  Both numerator integrals
-are exact matrix products on the fine space because coarse hats prolong
-exactly; the denominator's gradient-norm integral is the pointwise Euclidean
-norm of the (per-element constant) hat gradient times element area.  Rows
-vanish outside the node's star, which is what makes constrained corrector
-problems local.
+with H the coarse mesh size (element diameter).  Coarse hats prolong
+exactly, so the numerator is exact: the prolongation applied to one fine
+assembly of the element mass plus H^2 times the unit element stiffness.  The
+denominator holds only the coarse hat and is summed on the coarse mesh, each
+element adding area * (1/3 + H^2 |grad(hat)|) at each corner.  Rows vanish
+outside the node's star, which makes constrained corrector problems local.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 
 from . import fem
-
-
-def _gradient_operators(mesh):
-    """Sparse maps from nodal vectors to per-element constant gradients."""
-    gx, gy = mesh.element_gradients
-    rows = np.repeat(np.arange(mesh.n_triangles), 3)
-    cols = mesh.triangles.ravel()
-    shape = (mesh.n_triangles, mesh.n_vertices)
-    dx = sparse.csr_matrix((gx.ravel(), (rows, cols)), shape=shape)
-    dy = sparse.csr_matrix((gy.ravel(), (rows, cols)), shape=shape)
-    return dx, dy
 
 
 def build_interpolation(hierarchy):
@@ -41,19 +30,14 @@ def build_interpolation(hierarchy):
     H = coarse.mesh_size
     P = hierarchy.prolongation  # (nv_fine, n_coarse_interior)
 
-    mass = fem.assemble_mass(fine)
-    stiff = fem.assemble_stiffness(fine, None, interior=False)
-    numerator = (P.T @ (mass + (H * H) * stiff)).tocsr()
+    pairing = fem.element_mass(fine) + (H * H) * fem.element_stiffness(fine)
+    numerator = (P.T @ fem.assemble(fine, pairing, interior=False)).tocsr()
 
-    hat_volumes = P.T @ (mass @ np.ones(fine.n_vertices))
-
-    dx, dy = _gradient_operators(fine)
-    gpx = dx @ P
-    gpy = dy @ P
-    norms = (gpx.multiply(gpx) + gpy.multiply(gpy)).sqrt()
-    grad_l1 = np.asarray(fine.element_areas @ norms).ravel()
-
-    denominators = hat_volumes + (H * H) * grad_l1
+    gx, gy = coarse.element_gradients
+    corners = coarse.element_areas[:, None] * (
+        1.0 / 3.0 + (H * H) * np.sqrt(gx * gx + gy * gy))
+    denominators = np.bincount(coarse.triangles.ravel(), corners.ravel(),
+                               coarse.n_vertices)[coarse.interior_vertices]
     if np.any(denominators <= 0):
         raise RuntimeError("nonpositive interpolation normalization")
 

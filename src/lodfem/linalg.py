@@ -130,7 +130,8 @@ class SaddleFactorization:
 
     Given sparse A (n, n) and C (m, n) with m > 0, SuperLU factorizes the
     KKT matrix K (see _kkt) once, and each application is one solve of
-    [r; q] for [x; mu]; with m = 0, K is A as CSC (A itself if CSC).  Given
+    [r; q] for [x; mu]; with m = 0, K is A as CSC (A itself if canonical
+    CSC, else a sorted copy: the caller's A is never changed).  Given
     numpy stacks A (P, n, n) and C (P, m, n), it factorizes P systems at
     once through their Schur complements S = C A^-1 C', so each application
     is u = A^-1 r, mu = S^-1 (C u - q), x = u - Y mu with Y = A^-1 C' kept,
@@ -153,6 +154,8 @@ class SaddleFactorization:
             self._schur = _cholesky(self.C @ self._Y)
             return
         self.K = _kkt(A, C) if self.m else A.tocsc()
+        if self.K is A and not A.has_canonical_format:
+            self.K = A.sorted_indices()  # splu sorts its input in place
         try:
             if self.m or (self.K != self.K.T).nnz == 0:
                 # K in the order given, diagonal pivots only: A's first,

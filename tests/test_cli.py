@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from lodfem import ConfigError, ExperimentConfig, harness, linalg, lod, \
     parse_config
 from lodfem.cli import main
-from lodfem.config import DESK_PRESET, MODES, PAPER_PRESET, RHS_NAMES, \
-    TIMING_MODES
+from lodfem.config import COEFF_KINDS, DESK_PRESET, MODES, PAPER_PRESET, \
+    RHS_NAMES, TIMING_MODES
 from lodfem.harness import CSV_HEADER, run_coeff_export, run_convergence, \
     run_decay, run_solve
 
@@ -58,8 +58,7 @@ def configs(draw):
                                    unique=True))),
         mode=draw(st.sampled_from(MODES)),
         rhs=draw(st.sampled_from(RHS_NAMES)),
-        coeff_kind=draw(st.sampled_from(("constant", "periodic",
-                                         "checkerboard"))),
+        coeff_kind=draw(st.sampled_from(COEFF_KINDS)),
         coeff_constant=draw(_FLOAT),
         coeff_epsilon=draw(_FLOAT),
         coeff_amplitude=draw(_FLOAT),
@@ -136,6 +135,8 @@ def test_config_rejects_bad_mode_and_rhs():
         cfg(mode="magic")
     with pytest.raises(ConfigError, match="rhs"):
         cfg(rhs="y")
+    with pytest.raises(ConfigError, match="coeff_kind"):
+        parse_config("coeff_kind = foo")
 
 
 def test_presets_valid():

@@ -3,8 +3,8 @@ import pytest
 
 from lodfem import build_uniform_mesh, error_norms, linalg, make_constant, \
     make_checkerboard, pad_full, solve_reference
-from lodfem.fem import apply_subset_stiffness, assemble_load, assemble_mass, \
-    assemble_stiffness, build_operators, subset_h1_sq, subset_l2_sq
+from lodfem.fem import apply_subset_stiffness, assemble, assemble_load, \
+    build_operators, element_mass, element_stiffness, subset_h1_sq, subset_l2_sq
 from lodfem.mesh import TriMesh
 
 import oracles
@@ -26,25 +26,25 @@ def reference_triangle_mesh():
 
 def test_local_stiffness_hand_values():
     mesh = reference_triangle_mesh()
-    K = assemble_stiffness(mesh, None, interior=False).toarray()
+    K = assemble(mesh, element_stiffness(mesh), interior=False).toarray()
     expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
     np.testing.assert_allclose(K, expected, atol=1e-15)
 
 
 def test_stiffness_linear_in_coefficient():
     mesh = build_uniform_mesh(4)
-    one = assemble_stiffness(mesh, make_constant(1.0, mesh))
-    ten = assemble_stiffness(mesh, make_constant(10.0, mesh))
+    one = assemble(mesh, element_stiffness(mesh, make_constant(1.0, mesh)))
+    ten = assemble(mesh, element_stiffness(mesh, make_constant(10.0, mesh)))
     np.testing.assert_array_equal(ten.toarray(), 10.0 * one.toarray())
 
 
 def test_stiffness_against_dense_oracle():
     mesh = build_uniform_mesh(2)
     coeff = make_checkerboard(2, 10.0, 1, mesh)
-    full = assemble_stiffness(mesh, coeff, interior=False).toarray()
+    full = assemble(mesh, element_stiffness(mesh, coeff), interior=False).toarray()
     np.testing.assert_allclose(full, oracles.dense_stiffness(mesh, coeff.values),
                                atol=1e-12)
-    interior = assemble_stiffness(mesh, coeff).toarray()
+    interior = assemble(mesh, element_stiffness(mesh, coeff)).toarray()
     idx = mesh.interior_vertices
     np.testing.assert_allclose(
         interior, oracles.dense_stiffness(mesh, coeff.values)[np.ix_(idx, idx)],
@@ -55,25 +55,25 @@ def test_stiffness_coefficient_mismatch():
     mesh = build_uniform_mesh(4)
     other = make_constant(1.0, build_uniform_mesh(8))
     with pytest.raises(ValueError, match="mismatch"):
-        assemble_stiffness(mesh, other)
+        assemble(mesh, element_stiffness(mesh, other))
 
 
 def test_stiffness_kernel_contains_constants():
     mesh = build_uniform_mesh(6)
-    S = assemble_stiffness(mesh, None, interior=False)
+    S = assemble(mesh, element_stiffness(mesh), interior=False)
     row_sums = np.asarray(S @ np.ones(mesh.n_vertices))
     assert np.abs(row_sums).max() <= 1e-12
 
 
 def test_mass_against_dense_oracle():
     mesh = build_uniform_mesh(2)
-    M = assemble_mass(mesh).toarray()
+    M = assemble(mesh, element_mass(mesh), interior=False).toarray()
     np.testing.assert_allclose(M, oracles.dense_mass(mesh), atol=1e-13)
 
 
 def test_mass_row_sums_are_hat_integrals():
     mesh = build_uniform_mesh(5)
-    M = assemble_mass(mesh)
+    M = assemble(mesh, element_mass(mesh), interior=False)
     row_sums = np.asarray(M @ np.ones(mesh.n_vertices))
     hat_integrals = np.array([
         mesh.element_areas[node_star(mesh, v)].sum() / 3.0
@@ -208,9 +208,9 @@ def test_error_norms_match_dense_quadratic_forms(rng):
 def test_energy_of_linear_function_exact():
     mesh = build_uniform_mesh(4)
     d = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1]  # grad (1, 2)
-    S = assemble_stiffness(mesh, None, interior=False)
+    S = assemble(mesh, element_stiffness(mesh), interior=False)
     assert d @ (S @ d) == pytest.approx(5.0, rel=1e-12)  # |grad|^2 * area
-    M = assemble_mass(mesh)
+    M = assemble(mesh, element_mass(mesh), interior=False)
     # int (x + 2y)^2 over the unit square = 1/3 + 1 + 4/3
     assert d @ (M @ d) == pytest.approx(1 / 3 + 1.0 + 4 / 3, rel=1e-12)
 
@@ -242,7 +242,7 @@ def test_apply_subset_stiffness_sums_to_full(rng):
     coeff = make_checkerboard(4, 10.0, 1, mesh)
     vec = rng.standard_normal(mesh.n_vertices)
     total = apply_subset_stiffness(mesh, coeff, np.arange(mesh.n_triangles), vec)
-    S = assemble_stiffness(mesh, coeff, interior=False)
+    S = assemble(mesh, element_stiffness(mesh, coeff), interior=False)
     np.testing.assert_allclose(total, S @ vec, atol=1e-12)
     part1 = apply_subset_stiffness(mesh, coeff, np.arange(10), vec)
     part2 = apply_subset_stiffness(mesh, coeff, np.arange(10, mesh.n_triangles), vec)

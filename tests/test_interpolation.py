@@ -59,8 +59,9 @@ def test_constant_function_value(small_hierarchy, op):
     ones = np.ones(hier.fine.n_vertices)
     values = op @ ones
     P = hier.prolongation
-    from lodfem.fem import assemble_mass
-    hat_volumes = P.T @ (assemble_mass(hier.fine)
+    from lodfem.fem import assemble, element_mass
+    hat_volumes = P.T @ (assemble(hier.fine, element_mass(hier.fine),
+                                  interior=False)
                          @ np.ones(hier.fine.n_vertices))
     np.testing.assert_allclose(values,
                                hat_volumes / interpolation_denominators(hier, op),
@@ -93,14 +94,18 @@ def test_constant_value_matches_star_geometry_oracle():
 
 
 def test_matrix_rows_match_quadrature_oracle():
-    hier = refine_hierarchy(build_uniform_mesh(2), 2)
-    op = build_interpolation(hier)
-    denominators = interpolation_denominators(hier, op)
-    for row_idx, node in enumerate(hier.coarse.interior_vertices):
-        row_oracle, denom_oracle = oracles.interpolation_row(hier, int(node))
-        np.testing.assert_allclose(op.getrow(row_idx).toarray().ravel(),
-                                   row_oracle, atol=1e-12)
-        assert denominators[row_idx] == pytest.approx(denom_oracle, rel=1e-12)
+    """Each row and its denominator, against the quadrature oracle: one
+    interior row at coarse 2, nine at coarse 4."""
+    for coarse_n in (2, 4):
+        hier = refine_hierarchy(build_uniform_mesh(coarse_n), 2)
+        op = build_interpolation(hier)
+        denominators = interpolation_denominators(hier, op)
+        for row_idx, node in enumerate(hier.coarse.interior_vertices):
+            row_oracle, denom_oracle = oracles.interpolation_row(hier, int(node))
+            np.testing.assert_allclose(op.getrow(row_idx).toarray().ravel(),
+                                       row_oracle, atol=1e-12)
+            assert denominators[row_idx] == pytest.approx(denom_oracle,
+                                                          rel=1e-12)
 
 
 def test_apply_is_linear(small_hierarchy, matrix, rng):

@@ -83,6 +83,20 @@ def test_saddle_no_constraints_takes_a_csc_matrix_as_k(rng):
                                np.linalg.solve(A.toarray(), b), atol=1e-10)
 
 
+def test_saddle_no_constraints_leaves_the_callers_matrix_as_it_is():
+    """A CSC A whose indices are not sorted is factorized through a sorted
+    copy: the caller's indices and values read the same after the solve."""
+    A = sparse.csc_matrix((np.array([2.0, -1.0, 2.0, -1.0]),
+                           np.array([0, 1, 1, 0]), np.array([0, 2, 4])),
+                          shape=(2, 2))
+    indices, data = A.indices.copy(), A.data.copy()
+    x = SaddleFactorization(A, sparse.csr_matrix((0, 2))).solve(
+        np.array([1.0, 0.0]))[0]
+    np.testing.assert_allclose(x, [2 / 3, 1 / 3], atol=1e-12)
+    assert np.array_equal(A.indices, indices)
+    assert np.array_equal(A.data, data)
+
+
 def test_saddle_projection_hand_case():
     x, mu = SaddleFactorization(csr(np.eye(2)), csr([[1.0, 1.0]])).solve(
         np.array([1.0, 0.0]))
