@@ -1,13 +1,13 @@
 """Experiment runners: single solves, convergence sweeps, decay studies.
 
-Every runner measures errors against the standard fine-grid reference
-solution and emits plot-ready CSV.  The naive coarse P1 Galerkin solution is
-always reported alongside the multiscale rows as patch order 0, so one table
-shows the multiscale advantage directly.  CSV bytes are reproducible for a
-fixed config: floats carry 12 significant digits, rows follow ascending
-(coarse size, patch order), and lines end with a bare newline.  Wall times
-are only written when `timings = wall`; determinism checks use
-`timings = off`.
+Every runner builds one fine mesh, nests each coarse mesh in it, measures
+errors against the standard fine-grid reference solution and emits
+plot-ready CSV.  The naive coarse P1 Galerkin solution is always reported
+alongside the multiscale rows as patch order 0, so one table shows the
+multiscale advantage directly.  CSV bytes are reproducible for a fixed
+config: floats carry 12 significant digits, rows follow ascending (coarse
+size, patch order), and lines end with a bare newline.  Wall times are only
+written when `timings = wall`; determinism checks use `timings = off`.
 """
 
 import os
@@ -27,15 +27,14 @@ DECAY_HEADER = "radius,tail_h1,ratio"
 
 
 def rhs_function(name):
+    """f(x, y) of a validated rhs selector (one of RHS_NAMES)."""
     if name == "x":
         return lambda x, y: x
     if name == "one":
         return lambda x, y: np.ones_like(x)
     if name == "zero":
         return lambda x, y: np.zeros_like(x)
-    if name == "manufactured":
-        return lambda x, y: 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-    raise ConfigError(f"unknown rhs selector: {name!r}")
+    return lambda x, y: 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
 def build_coefficient(cfg, fine):
@@ -127,17 +126,16 @@ class ErrorReport:
 
 
 def _problem(cfg):
-    """The config's fine mesh and its assembled operators."""
+    """The run's one fine mesh and its assembled operators."""
     fine = build_uniform_mesh(cfg.fine_n)
     coeff = build_coefficient(cfg, fine)
     return fine, fem.build_operators(fine, coeff, rhs_function(cfg.rhs))
 
 
-def _hierarchy(cfg, coarse_n):
-    """Coarse mesh `coarse_n` nested in the config's fine grid, and its
+def _hierarchy(fine, coarse_n):
+    """Coarse mesh `coarse_n` nested in the run's fine mesh, and its
     quasi-interpolation."""
-    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(cfg.fine_n // coarse_n)))
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n), fine)
     return hier, interpolation.build_interpolation(hier)
 
 
@@ -200,7 +198,7 @@ def _sweep(cfg, coarse_list, level_list):
 
     report = ErrorReport()
     for coarse_n in sorted(coarse_list):
-        hier, interp = _hierarchy(cfg, coarse_n)
+        hier, interp = _hierarchy(fine, coarse_n)
         solved = {}  # patch order -> (errors, count, solution)
         for level in [0] + sorted(level_list):
             order = None if cfg.mode == "global" and level > 0 else level
@@ -249,9 +247,9 @@ def _decay_node(cfg, coarse):
 def run_decay(cfg):
     """Tail norms of one global corrector at increasing radii."""
     _validated(cfg)
-    _, ops = _problem(cfg)
+    fine, ops = _problem(cfg)
     coarse_n = max(cfg.coarse_n)  # the finest coarse mesh gives the most radii
-    hier, interp = _hierarchy(cfg, coarse_n)
+    hier, interp = _hierarchy(fine, coarse_n)
     node = _decay_node(cfg, hier.coarse)
     dof = hier.coarse.interior_index[node]
     hat = hier.prolongation_interior[:, dof].toarray().ravel()

@@ -29,14 +29,15 @@ reference solve hands it over in the elimination order; any other A (the
 Galerkin and Petrov-Galerkin coarse matrices) takes SuperLU's default
 pivoted ordering.  Right-hand sides are dense and worked on whole.
 The kernel polishes with iterative refinement; one per-column acceptance
-test decides both which columns are refined and whether the solve
-succeeds.  There is one failure type: a factorization that fails, or a
-solve that misses the test, raises SolverFailure; a missed solve carries
-the achieved residual, and a stack names its failing system.  Solves are
-pure functions of their inputs, so repeated or concurrent calls on shared
-immutable matrices are deterministic, and each system of a stack gets the
-same bits whatever else is stacked with it up to refinement, which visits
-the columns that fail in any system of the stack.
+test to a finite positive tol (else ValueError) decides both which columns
+are refined and whether the solve succeeds.  There is one failure type: a
+factorization that fails, or a solve that misses the test, raises
+SolverFailure; a missed solve carries the achieved residual, and a stack
+names its failing system.  Solves are pure functions of their inputs, so
+repeated or concurrent calls on shared immutable matrices are
+deterministic, and each system of a stack gets the same bits whatever else
+is stacked with it up to refinement, which visits the columns that fail in
+any system of the stack.
 """
 
 import numpy as np
@@ -69,8 +70,6 @@ def spd_solve(A, b, tol=1e-10):
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
         raise ValueError(f"shape mismatch: matrix {A.shape}, vector {b.shape}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     no_constraints = sparse.csr_matrix((0, A.shape[0]))
     return SaddleFactorization(A, no_constraints).solve(b, tol)[0]
 
@@ -202,14 +201,16 @@ class SaddleFactorization:
     def solve(self, b, tol=1e-10):
         """Solve for one dense right-hand side (n,) or a block of them (n, k).
 
-        A stack takes (P, n) or (P, n, k).  A column is accepted when its
-        stationarity residual is at most tol ||b|| and its feasibility
-        residual at most tol max(1, ||x||), both finite.  The columns that
-        fail this test in any system are refined, at most _REFINE_STEPS
-        times, and each system keeps the correction of the columns it
-        failed; any column still failing raises SolverFailure.  x and mu come
-        back with b's number of columns.
+        A stack takes (P, n) or (P, n, k); tol > 0 must be finite.  A column
+        is accepted when its stationarity residual is at most tol ||b|| and
+        its feasibility residual at most tol max(1, ||x||), both finite.  The
+        columns that fail this test in any system are refined, at most
+        _REFINE_STEPS times, and each system keeps the correction of the
+        columns it failed; any column still failing raises SolverFailure.
+        x and mu come back with b's number of columns.
         """
+        if not 0 < tol < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         lead = self.lead
         b = np.asarray(b, dtype=float)
         if b.ndim - len(lead) not in (1, 2) or \

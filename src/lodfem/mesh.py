@@ -1,9 +1,9 @@
 """Nested two-level triangulations of the unit square.
 
 Structured P1 meshes: every grid square is split along the same lower-left
-to upper-right diagonal, and the fine mesh is obtained from the coarse one
-by uniform red (1:4) refinement, which for this layout coincides with the
-uniform grid at doubled resolution.  All mesh data is immutable after
+to upper-right diagonal, so k uniform red (1:4) refinements of a coarse mesh
+give the uniform grid at 2^k times its resolution; a hierarchy nests a
+coarse mesh in a fine mesh it is given.  All mesh data is immutable after
 construction, so concurrent read access from parallel solves is safe.
 
 Vertex ids run row-major in y, ``v = j*(n+1) + i`` for grid point (i/n, j/n).
@@ -206,21 +206,22 @@ def _locate_coarse_elements(coarse, points):
     return 2 * (iy * nc + ix) + upper.astype(np.int64), fx, fy
 
 
-def refine_hierarchy(coarse, levels):
-    """Refine `coarse` by `levels` uniform red refinements.
+def refine_hierarchy(coarse, fine):
+    """Nest `coarse` in `fine`, which must have 2^k times its cells per side
+    (k >= 1, else ValueError); builds no mesh.
 
     The children map ties each coarse element to the fine elements tiling it,
     and the prolongation represents every interior coarse hat function
     exactly in the fine P1 space (one column per coarse interior dof).
     """
-    if not isinstance(levels, (int, np.integer)) or levels < 1:
-        raise ValueError(f"invalid refinement level: need integer k >= 1, got {levels!r}")
-    levels = int(levels)
-    fine = build_uniform_mesh(coarse.cells_per_side * 2 ** levels)
+    ratio, rem = divmod(fine.cells_per_side, coarse.cells_per_side)
+    if rem or ratio < 2 or ratio & (ratio - 1):
+        raise ValueError(f"cannot nest coarse {coarse.cells_per_side} in fine "
+                         f"{fine.cells_per_side}: need fine = coarse * 2^k, k >= 1")
 
     owner, _, _ = _locate_coarse_elements(coarse, fine.element_centroids)
     order = np.argsort(owner, kind="stable")
-    per = 4 ** levels
+    per = ratio ** 2
     counts = np.bincount(owner, minlength=coarse.n_triangles)
     if not np.all(counts == per):
         raise RuntimeError("refinement bookkeeping failed: uneven child counts")

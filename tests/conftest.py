@@ -35,7 +35,7 @@ settings.load_profile("deterministic")
 @pytest.fixture(scope="session")
 def small_hierarchy():
     """Coarse 4 / fine 16 hierarchy shared by interpolation and lod tests."""
-    return refine_hierarchy(build_uniform_mesh(4), 2)
+    return refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(16))
 
 
 @pytest.fixture

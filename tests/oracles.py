@@ -280,7 +280,7 @@ def diagonal_orders(cfg, diagonal):
     u_ref = fem.solve_reference(fine, ops, cfg.tol)
     errors = []
     for coarse_n, order in diagonal:
-        hier, interp = harness._hierarchy(cfg, coarse_n)
+        hier, interp = harness._hierarchy(fine, coarse_n)
         errs, _, _ = harness._solve_level(cfg, hier, ops, interp, u_ref,
                                           order, order)
         errors.append((coarse_n, errs[1]))

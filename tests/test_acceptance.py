@@ -123,7 +123,7 @@ def test_criterion_1_fem_manufactured_orders():
 def test_criterion_2_interpolation_matches_dense_oracle():
     with criterion("criterion 2: quasi-interpolation vs quadrature oracle"):
         start = time.perf_counter()
-        hier = refine_hierarchy(build_uniform_mesh(4), 2)
+        hier = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(16))
         op = build_interpolation(hier)
         for row_idx, node in enumerate(hier.coarse.interior_vertices):
             row_oracle, denom = oracles.interpolation_row(hier, int(node))
@@ -140,7 +140,7 @@ def test_criterion_2_interpolation_matches_dense_oracle():
 def test_criterion_3_corrector_orthogonality():
     with criterion("criterion 3: corrector orthogonality on kernel basis"):
         start = time.perf_counter()
-        hier = refine_hierarchy(build_uniform_mesh(4), 2)
+        hier = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(16))
         coeff = make_checkerboard(16, 100.0, 1, hier.fine)
         ops = build_operators(hier.fine, coeff, lambda x, y: x)
         interp = build_interpolation(hier)
@@ -158,7 +158,7 @@ def test_criterion_3_corrector_orthogonality():
 def test_criterion_4_localization_saturation():
     with criterion("criterion 4: saturation reproduces global correctors"):
         start = time.perf_counter()
-        hier = refine_hierarchy(build_uniform_mesh(4), 3)  # coarse 4 / fine 32
+        hier = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(32))
         coeff = make_checkerboard(16, 100.0, 1, hier.fine)
         ops = build_operators(hier.fine, coeff, lambda x, y: x)
         interp = build_interpolation(hier)

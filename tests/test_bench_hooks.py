@@ -3,7 +3,7 @@
 `perfbench/child.py` wraps the names the program looks up at its module
 boundaries; if a refactor stops calling through one of them, `--trace 1`
 silently loses that layer.  This runs the child on tiny sweeps and checks
-that the corrector layers still show up as spans.
+that the set-up and corrector layers still show up as spans.
 """
 
 import inspect
@@ -21,6 +21,10 @@ CHILD = os.path.join(ROOT, "perfbench", "child.py")
 
 CONFIG = ("coarse_n = 4\nlevels = 1\nrhs = x\n"
           "coeff_kind = checkerboard\ncoeff_cell = 16\ntimings = off\n")
+
+# Set-up layers a one-coarse-size sweep records exactly once each.
+SETUP = ("mesh.refine_hierarchy", "fem.build_operators", "fem.solve_reference",
+         "interpolation.build_interpolation")
 
 # (fine_n, mode) -> span names the traced sweep must record.  At fine 16 no
 # patch reaches SuperLU; at fine 32, 8 of the 30 patches have more than
@@ -62,6 +66,9 @@ def test_traced_child_records_corrector_spans(tmp_path, case):
                for line in spans.read_text().splitlines() if line.strip()]
     names = {span["name"] for span in records}
     assert expected <= names, expected - names
+    counts = {name: sum(span["name"] == name for span in records)
+              for name in SETUP}
+    assert counts == dict.fromkeys(SETUP, 1), counts
     if case == "localized-superlu":
         by_id = {span["id"]: span for span in records}
         assert any(_under(span, "lod.assemble_corrector_set", by_id)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lodfem import ConfigError, ExperimentConfig, harness, linalg, lod, \
-    parse_config
+    mesh, parse_config
 from lodfem.cli import main
 from lodfem.config import COEFF_KINDS, DESK_PRESET, MODES, PAPER_PRESET, \
     RHS_NAMES, TIMING_MODES
@@ -260,6 +260,41 @@ def test_global_correctors_assembled_once_per_coarse_size(monkeypatch):
     errors = {(r.coarse_n, r.level): (r.err_l2, r.err_h1, r.err_energy)
               for r in report.rows}
     assert errors[4, 1] == errors[4, 2] and errors[8, 1] == errors[8, 2]
+
+
+def test_every_hierarchy_of_a_run_nests_in_its_one_fine_mesh(monkeypatch):
+    """A sweep over two coarse sizes and a decay run each build one fine
+    mesh, the one harness._problem returns, and hand that very mesh to
+    refine_hierarchy for every coarse size."""
+    build, problem = mesh.build_uniform_mesh, harness._problem
+    refine = harness.refine_hierarchy
+    built, problems, nested = [], [], []
+
+    def building(n):
+        built.append(n)
+        return build(n)
+
+    def recording_problem(c):
+        fine, ops = problem(c)
+        problems.append(fine)
+        return fine, ops
+
+    def recording_refine(coarse, fine):
+        nested.append(fine)
+        return refine(coarse, fine)
+
+    for owner in (harness, mesh):
+        monkeypatch.setattr(owner, "build_uniform_mesh", building)
+    monkeypatch.setattr(harness, "_problem", recording_problem)
+    monkeypatch.setattr(harness, "refine_hierarchy", recording_refine)
+    run_convergence(cfg(fine_n=16, coarse_n=(2, 4)))
+    assert built == [16, 2, 4] and len(problems) == 1
+    assert len(nested) == 2 and all(f is problems[0] for f in nested)
+    for record in (built, problems, nested):
+        record.clear()
+    run_decay(cfg(fine_n=16, coarse_n=(4,)))
+    assert built == [16, 4] and len(problems) == 1
+    assert len(nested) == 1 and nested[0] is problems[0]
 
 
 def test_h1_rate_along_the_log_order_diagonal():

@@ -42,7 +42,7 @@ def test_full_rows_share_one_layout_about_their_node(fine_n, coarse_n):
     offsets from its node's fine vertex, in the same order, so that a
     patch template's ranks in its rows hold in every translate."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(fine_n // coarse_n)))
+                            build_uniform_mesh(fine_n))
     full = build_interpolation(hier)
     widths = np.diff(full.indptr)
     assert np.all(widths == widths[0])
@@ -75,7 +75,7 @@ def test_constant_value_matches_star_geometry_oracle():
     with both star integrals recomputed from coarse geometry alone."""
     deviations = []
     for nc in (4, 8, 16):
-        hier = refine_hierarchy(build_uniform_mesh(nc), 2)
+        hier = refine_hierarchy(build_uniform_mesh(nc), build_uniform_mesh(4 * nc))
         op = build_interpolation(hier)
         values = op @ np.ones(hier.fine.n_vertices)
         H = hier.coarse.mesh_size
@@ -97,7 +97,8 @@ def test_matrix_rows_match_quadrature_oracle():
     """Each row and its denominator, against the quadrature oracle: one
     interior row at coarse 2, nine at coarse 4."""
     for coarse_n in (2, 4):
-        hier = refine_hierarchy(build_uniform_mesh(coarse_n), 2)
+        hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                                build_uniform_mesh(4 * coarse_n))
         op = build_interpolation(hier)
         denominators = interpolation_denominators(hier, op)
         for row_idx, node in enumerate(hier.coarse.interior_vertices):
@@ -149,7 +150,7 @@ def test_denominators_positive(small_hierarchy, op):
 def test_measured_constants_bounded_across_levels():
     measured = {}
     for nc in (4, 8):
-        hier = refine_hierarchy(build_uniform_mesh(nc), 2)
+        hier = refine_hierarchy(build_uniform_mesh(nc), build_uniform_mesh(4 * nc))
         op = build_interpolation(hier)
         measured[nc] = measure_constants(hier, op, trials=8, seed=3)
     for i in range(2):
@@ -163,8 +164,8 @@ def test_approximation_order_for_fixed_smooth_function():
     f = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]) \
         + 0.3 * np.sin(2 * np.pi * p[:, 0]) * np.sin(3 * np.pi * p[:, 1])
     worst = []
-    for nc, k in ((8, 3), (16, 2), (32, 2)):
-        hier = refine_hierarchy(build_uniform_mesh(nc), k)
+    for nc, nf in ((8, 64), (16, 64), (32, 128)):
+        hier = refine_hierarchy(build_uniform_mesh(nc), build_uniform_mesh(nf))
         op = build_interpolation(hier)
         v = f(hier.fine.vertices)
         residual = v - hier.prolongation @ (op @ v)

@@ -97,6 +97,22 @@ def test_saddle_no_constraints_leaves_the_callers_matrix_as_it_is():
     assert np.array_equal(A.data, data)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+def test_tolerance_must_be_finite_and_positive(rng, tol):
+    """A sparse system, an unconstrained one and a dense stack each reject a
+    tolerance that is not finite and positive: at nan or inf the acceptance
+    test would pass every finite column unchecked, and at 0 or below it
+    would report a missed tolerance."""
+    A, C, b = csr(random_spd(rng, 4)), csr([[1, 1, 0, 0]]), np.ones(4)
+    stack = np.stack([random_spd(rng, 3)] * 2)
+    for solve in (lambda: SaddleFactorization(A, C).solve(b, tol),
+                  lambda: spd_solve(A, b, tol),
+                  lambda: SaddleFactorization(stack, np.ones((2, 1, 3)))
+                  .solve(np.ones((2, 3)), tol)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve()
+
+
 def test_saddle_projection_hand_case():
     x, mu = SaddleFactorization(csr(np.eye(2)), csr([[1.0, 1.0]])).solve(
         np.array([1.0, 0.0]))

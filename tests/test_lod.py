@@ -134,6 +134,20 @@ def test_corrector_set_rejects_invalid_order_up_front(small_hierarchy, order):
     assert str(rejected.value) == str(by_patch.value)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+def test_corrector_set_rejects_a_tolerance_it_cannot_test(problem, tol,
+                                                          monkeypatch):
+    """A tolerance that is not finite and positive is a ValueError, serial or
+    pooled, and not a corrector set whose solves nothing checked (nan, inf)
+    or a missed tolerance (0, -1)."""
+    _two_cpus(monkeypatch)
+    hier, ops, interp = problem
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="finite and positive"):
+            assemble_corrector_set(hier, ops, interp, order=1, tol=tol,
+                                   threads=threads)
+
+
 def test_local_corrector_supported_in_patch(problem):
     hier, ops, interp = problem
     node = int(hier.coarse.interior_vertices[0])
@@ -156,7 +170,7 @@ def test_local_correctors_sum_to_global_at_saturation(fine_n, coarse_n,
     localized correctors equal the global ones to 1e-8 in energy, row by
     row."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(fine_n // coarse_n)))
+                            build_uniform_mesh(fine_n))
     coeff = make_checkerboard(fine_n, 10.0 ** log_contrast, seed, hier.fine)
     ops = build_operators(hier.fine, coeff, lambda x, y: x)
     interp = build_interpolation(hier)
@@ -177,7 +191,7 @@ def test_assemble_matches_manual_star_sums(monkeypatch):
     _two_cpus(monkeypatch)
     for fine_n, order in [(16, 1), (16, 2), (32, 1)]:
         hier = refine_hierarchy(build_uniform_mesh(4),
-                                int(np.log2(fine_n // 4)))
+                                build_uniform_mesh(fine_n))
         ops = build_operators(hier.fine,
                               make_checkerboard(4, 100.0, 1, hier.fine),
                               lambda x, y: x)
@@ -237,7 +251,7 @@ def test_process_pool_capped_at_usable_cpus(monkeypatch, cpus):
             pools.append(max_workers)
             super().__init__(max_workers, *args)
 
-    hier = refine_hierarchy(build_uniform_mesh(8), 1)
+    hier = refine_hierarchy(build_uniform_mesh(8), build_uniform_mesh(16))
     ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
                           lambda x, y: x)
     interp = build_interpolation(hier)
@@ -309,7 +323,7 @@ def test_killed_sweep_leaves_no_worker():
         "import os\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from lodfem import *\n"
-        "hier = refine_hierarchy(build_uniform_mesh(8), 3)\n"
+        "hier = refine_hierarchy(build_uniform_mesh(8), build_uniform_mesh(64))\n"
         "ops = build_operators(hier.fine, make_constant(1.0, hier.fine), lambda x, y: x)\n"
         "interp = build_interpolation(hier)\n"
         "while True:\n"
@@ -442,8 +456,7 @@ def test_multiscale_convergence_with_global_correctors():
     u_ref = solve_reference(fine, ops)
     errors = []
     for nc in (4, 8):
-        hier = refine_hierarchy(build_uniform_mesh(nc),
-                                int(np.log2(32 // nc)))
+        hier = refine_hierarchy(build_uniform_mesh(nc), build_uniform_mesh(32))
         interp = build_interpolation(hier)
         cs = global_corrector_set(hier, ops, interp)
         _, u_ms = solve_multiscale(build_multiscale_space(hier, ops, cs))
@@ -493,7 +506,7 @@ def test_decay_fit_on_checkerboard():
     fine = build_uniform_mesh(32)
     coeff = make_checkerboard(8, 1000.0, 1, fine)
     ops = build_operators(fine, coeff, lambda x, y: x)
-    hier = refine_hierarchy(build_uniform_mesh(8), 2)
+    hier = refine_hierarchy(build_uniform_mesh(8), build_uniform_mesh(32))
     interp = build_interpolation(hier)
     center = 4 * 9 + 4
     phi = global_corrector(hier, ops, interp, center)
@@ -544,7 +557,8 @@ def test_patch_templates_match_element_patch(coarse_n, refinements):
     entries and values of scipy's fancy-indexed blocks, both sides with
     sorted indices; its right-hand side equals the hats' stiffness on its
     children.  The constraint block of each class has full row rank."""
-    hier = refine_hierarchy(build_uniform_mesh(coarse_n), refinements)
+    hier = refine_hierarchy(build_uniform_mesh(coarse_n),
+                            build_uniform_mesh(coarse_n * 2 ** refinements))
     coarse, fine = hier.coarse, hier.fine
     coeff = make_checkerboard(fine.cells_per_side, 1e4, 3, fine)
     ops = build_operators(fine, coeff, lambda x, y: x)
@@ -604,7 +618,7 @@ def test_rank_gather_equals_entry_lookup(fine_n, coarse_n, order):
     search finds at the member's entries of the fine stiffness and of
     the quasi-interpolation on the fine interior dofs."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(fine_n // coarse_n)))
+                            build_uniform_mesh(fine_n))
     coeff = make_checkerboard(fine_n, 1e4, 3, hier.fine)
     ops = build_operators(hier.fine, coeff, lambda x, y: x)
     interp = build_interpolation(hier)
@@ -634,7 +648,7 @@ def test_row_layout_unlike_the_template_is_rejected(block):
     entries stored in reverse, in a member's patch away from its template,
     fails the gather of that member with RuntimeError; the canonical matrix
     gathers it."""
-    hier = refine_hierarchy(build_uniform_mesh(8), 1)
+    hier = refine_hierarchy(build_uniform_mesh(8), build_uniform_mesh(16))
     ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
                           lambda x, y: x)
     interp = build_interpolation(hier)
@@ -693,7 +707,7 @@ def test_failing_later_member_names_its_element(monkeypatch):
     several members, and either solved by two workers.  The failing element
     is chosen here, in the parent, as no state a worker changes comes
     back."""
-    hier = refine_hierarchy(build_uniform_mesh(8), 1)
+    hier = refine_hierarchy(build_uniform_mesh(8), build_uniform_mesh(16))
     ops = build_operators(hier.fine, make_checkerboard(16, 100.0, 1, hier.fine),
                           lambda x, y: x)
     interp = build_interpolation(hier)
@@ -731,7 +745,7 @@ def test_global_projection_matches_dense_kkt_oracle(coarse_n):
     dofs' own order to 1e-13 relative, and lies in the kernel of the
     quasi-interpolation."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(16 // coarse_n)))
+                            build_uniform_mesh(16))
     ops = build_operators(hier.fine, make_checkerboard(4, 100.0, 1, hier.fine),
                           lambda x, y: x)
     interp = build_interpolation(hier)
@@ -763,7 +777,7 @@ def test_kkt_matrix_is_the_block_matrix(problem, monkeypatch):
 
     monkeypatch.setattr(linalg, "_kkt", recorded_kkt)
     monkeypatch.setattr(linalg.spla, "splu", recorded_splu)
-    hier = refine_hierarchy(build_uniform_mesh(4), 3)
+    hier = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(32))
     ops = build_operators(hier.fine, make_checkerboard(4, 100.0, 1, hier.fine),
                           lambda x, y: x)
     assemble_corrector_set(hier, ops, build_interpolation(hier), order=1)
@@ -790,7 +804,7 @@ def _global_row(fine_n, coarse_n, contrast, seed):
     """Hierarchy, operators, reference solution and the harness's global
     row (errors, count, solution) of one checkerboard problem."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(fine_n // coarse_n)))
+                            build_uniform_mesh(fine_n))
     ops = build_operators(hier.fine,
                           make_checkerboard(fine_n, contrast, seed, hier.fine),
                           lambda x, y: x)
@@ -854,7 +868,7 @@ def test_coarse_galerkin_matrix_is_spd(fine_n, coarse_n, order, log_contrast,
     Galerkin matrix is symmetric to 1e-12 relative and has a Cholesky
     factor."""
     hier = refine_hierarchy(build_uniform_mesh(coarse_n),
-                            int(np.log2(fine_n // coarse_n)))
+                            build_uniform_mesh(fine_n))
     coeff = make_checkerboard(fine_n, 10.0 ** log_contrast, seed, hier.fine)
     ops = build_operators(hier.fine, coeff, lambda x, y: x)
     interp = build_interpolation(hier)

@@ -143,26 +143,36 @@ def test_star_area_identity():
 
 
 def test_refine_smallest():
-    h = refine_hierarchy(build_uniform_mesh(2), 1)
+    h = refine_hierarchy(build_uniform_mesh(2), build_uniform_mesh(4))
     assert h.fine.n_vertices == 25
     assert h.fine.n_triangles == 32
     assert h.children.shape == (8, 4)
 
 
 def test_refine_full_scale_mesh_size():
-    h = refine_hierarchy(build_uniform_mesh(8), 5)
+    h = refine_hierarchy(build_uniform_mesh(8), build_uniform_mesh(256))
     assert h.fine.cells_per_side == 256
     assert h.fine.mesh_size == pytest.approx(np.sqrt(2) / 256, rel=1e-14)
 
 
-@pytest.mark.parametrize("bad", [0, -1])
-def test_refine_invalid_level(bad):
-    with pytest.raises(ValueError, match="invalid refinement level"):
-        refine_hierarchy(build_uniform_mesh(2), bad)
+@pytest.mark.parametrize("coarse_n, fine_n", [(4, 4), (4, 6), (4, 12), (3, 8)])
+def test_refine_rejects_fine_mesh_not_nesting_coarse(coarse_n, fine_n):
+    """A fine mesh nests a coarse one only at 2^k times its cells per side,
+    k >= 1."""
+    with pytest.raises(ValueError, match="cannot nest"):
+        refine_hierarchy(build_uniform_mesh(coarse_n), build_uniform_mesh(fine_n))
+
+
+def test_refine_builds_no_mesh():
+    """The hierarchy holds the fine mesh it is given."""
+    coarse, fine = build_uniform_mesh(2), build_uniform_mesh(8)
+    h = refine_hierarchy(coarse, fine)
+    assert h.coarse is coarse and h.fine is fine
+    assert h.children.shape == (8, 16)
 
 
 def test_children_tile_parents():
-    h = refine_hierarchy(build_uniform_mesh(4), 2)
+    h = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(16))
     child_areas = h.fine.element_areas[h.children].sum(axis=1)
     np.testing.assert_allclose(child_areas, h.coarse.element_areas, rtol=1e-12)
     # children partition the fine mesh
@@ -178,7 +188,7 @@ def embedded_ids(h, coarse_vertices):
 
 
 def test_prolongation_center_hat_values():
-    h = refine_hierarchy(build_uniform_mesh(2), 1)
+    h = refine_hierarchy(build_uniform_mesh(2), build_uniform_mesh(4))
     center = 4  # vertex (0.5, 0.5), the single interior node
     col = h.prolongation.toarray()[:, 0]
     locator = oracles.PointLocator(h.coarse)
@@ -190,7 +200,7 @@ def test_prolongation_center_hat_values():
 
 
 def test_prolongation_nodal_pattern_at_embedded_vertices():
-    h = refine_hierarchy(build_uniform_mesh(4), 2)
+    h = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(16))
     P = h.prolongation.toarray()
     embedded = P[embedded_ids(h, h.coarse.interior_vertices)]
     np.testing.assert_allclose(embedded, np.eye(h.coarse.n_interior), atol=0)
@@ -199,7 +209,7 @@ def test_prolongation_nodal_pattern_at_embedded_vertices():
 
 
 def test_prolongation_reproduces_linear_functions():
-    h = refine_hierarchy(build_uniform_mesh(4), 3)
+    h = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(32))
     lin = lambda p: 0.25 + 2.0 * p[:, 0] - 0.75 * p[:, 1]
     coarse_vals = lin(h.coarse.vertices)
     # represent the linear function through all coarse hats: interior columns
@@ -226,7 +236,7 @@ def brute_force_patch(mesh, seed, order):
 
 
 def test_patch_thirteen_elements():
-    h = refine_hierarchy(build_uniform_mesh(8), 1)
+    h = refine_hierarchy(build_uniform_mesh(8), build_uniform_mesh(16))
     seed = 2 * (3 * 8 + 3)  # interior lower triangle
     p = element_patch(h, seed, 1)
     assert p.coarse_elements.size == 13
@@ -234,7 +244,7 @@ def test_patch_thirteen_elements():
 
 
 def test_patch_monotone_and_saturating():
-    h = refine_hierarchy(build_uniform_mesh(4), 1)
+    h = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(8))
     for seed in (0, 11, 31):
         previous = set()
         for order in range(1, 8):
@@ -247,13 +257,13 @@ def test_patch_monotone_and_saturating():
 
 
 def test_patch_invalid_order():
-    h = refine_hierarchy(build_uniform_mesh(2), 1)
+    h = refine_hierarchy(build_uniform_mesh(2), build_uniform_mesh(4))
     with pytest.raises(ValueError, match="invalid patch order"):
         element_patch(h, 0, 0)
 
 
 def test_patch_interior_dofs_strictly_inside():
-    h = refine_hierarchy(build_uniform_mesh(4), 2)
+    h = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(16))
     p = element_patch(h, 5, 1)
     elems = set(p.fine_elements)
     dofs = set(p.fine_interior_dofs)
@@ -264,7 +274,7 @@ def test_patch_interior_dofs_strictly_inside():
 
 
 def test_patch_active_nodes_are_stars_meeting_patch():
-    h = refine_hierarchy(build_uniform_mesh(4), 1)
+    h = refine_hierarchy(build_uniform_mesh(4), build_uniform_mesh(8))
     p = element_patch(h, 7, 1)
     patch = set(p.coarse_elements)
     expected = sorted(
